@@ -1,6 +1,7 @@
 //! DEVp2p base-protocol messages: HELLO, DISCONNECT, PING, PONG.
 
 use enode::NodeId;
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use rlp::{Rlp, RlpStream};
 
 /// DEVp2p protocol version spoken by 2018-era clients.
@@ -306,6 +307,40 @@ impl Message {
     }
 }
 
+/// Snapshot image: name, then version.
+impl Snap for Capability {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.name);
+        w.put(&self.version);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Capability, SnapError> {
+        Ok(Capability {
+            name: r.get()?,
+            version: r.get()?,
+        })
+    }
+}
+
+/// Snapshot image: the fields in declaration order.
+impl Snap for Hello {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.p2p_version);
+        w.put(&self.client_id);
+        w.put(&self.capabilities);
+        w.put(&self.listen_port);
+        w.put(&self.node_id);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Hello, SnapError> {
+        Ok(Hello {
+            p2p_version: r.get()?,
+            client_id: r.get()?,
+            capabilities: r.get()?,
+            listen_port: r.get()?,
+            node_id: r.get()?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,6 +353,23 @@ mod tests {
             listen_port: 30303,
             node_id: NodeId([0x42u8; 64]),
         }
+    }
+
+    #[test]
+    fn hello_round_trips() {
+        let mut h = hello();
+        h.p2p_version = 5;
+        let mut w = SnapWriter::new();
+        w.put(&h);
+        let buf = w.finish();
+        let mut r = SnapReader::new(&buf);
+        assert_eq!(r.get::<Hello>().unwrap(), h);
+        r.finish().unwrap();
+        // Image layout: version, client id, capabilities, port, node id.
+        assert_eq!(buf[..4], 5u32.to_le_bytes());
+        assert_eq!(buf.len(), 4 + (8 + 38) + 8 + 2 * (8 + 3 + 4) + 2 + 64);
+        let mut r = SnapReader::new(&buf[..buf.len() - 1]);
+        assert!(r.get::<Hello>().is_err());
     }
 
     #[test]

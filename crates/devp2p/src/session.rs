@@ -3,6 +3,7 @@
 
 use crate::capability_length;
 use crate::messages::{DisconnectReason, Hello, Message, MessageError};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Message IDs `0x00..=0x0f` belong to the base protocol; negotiated
 /// subprotocols share the space from here up.
@@ -78,7 +79,7 @@ pub enum SessionEvent {
     },
 }
 
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum State {
     AwaitingHello,
     Active,
@@ -115,38 +116,6 @@ impl Session {
     /// Drain queued outbound messages (caller frames them via RLPx).
     pub fn take_outbound(&mut self) -> Vec<(u64, Vec<u8>)> {
         std::mem::take(&mut self.outbound)
-    }
-
-    /// Capture the session for checkpoint/restore.
-    pub fn to_state(&self) -> SessionState {
-        SessionState {
-            local_hello: self.local_hello.clone(),
-            phase: match self.state {
-                State::AwaitingHello => 0,
-                State::Active => 1,
-                State::Ended => 2,
-            },
-            remote_hello: self.remote_hello.clone(),
-            shared: self.shared.clone(),
-            outbound: self.outbound.clone(),
-        }
-    }
-
-    /// Rebuild a session mid-exchange from [`Session::to_state`] output.
-    /// Unlike [`Session::new`] this queues nothing and bumps no counters —
-    /// whatever was in flight at snapshot time is already in `outbound`.
-    pub fn from_state(s: SessionState) -> Session {
-        Session {
-            local_hello: s.local_hello,
-            state: match s.phase {
-                0 => State::AwaitingHello,
-                1 => State::Active,
-                _ => State::Ended,
-            },
-            remote_hello: s.remote_hello,
-            shared: s.shared,
-            outbound: s.outbound,
-        }
     }
 
     /// The peer's HELLO, once received.
@@ -265,19 +234,50 @@ impl Session {
     }
 }
 
-/// Plain-data image of a [`Session`] for checkpoint/restore.
-#[derive(Debug, Clone)]
-pub struct SessionState {
-    /// Our HELLO as originally queued.
-    pub local_hello: Hello,
-    /// 0 = awaiting HELLO, 1 = active, 2 = ended.
-    pub phase: u8,
-    /// The peer's HELLO, if received.
-    pub remote_hello: Option<Hello>,
-    /// Negotiated capability windows.
-    pub shared: Vec<SharedCapability>,
-    /// Undrained outbound `(msg_id, payload)` queue.
-    pub outbound: Vec<(u64, Vec<u8>)>,
+/// Snapshot image: the fields in declaration order.
+impl Snap for SharedCapability {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.name);
+        w.put(&self.version);
+        w.put(&self.offset);
+        w.put(&self.length);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<SharedCapability, SnapError> {
+        Ok(SharedCapability {
+            name: r.get()?,
+            version: r.get()?,
+            offset: r.get()?,
+            length: r.get()?,
+        })
+    }
+}
+
+/// Snapshot image: our HELLO, the phase (0 awaiting HELLO, 1 active,
+/// 2 ended), the peer's HELLO, the negotiated windows and the undrained
+/// outbound queue. Restoring queues nothing and bumps no counters —
+/// whatever was in flight at snapshot time is already in the queue.
+impl Snap for Session {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.local_hello);
+        w.put(&(self.state as u8));
+        w.put(&self.remote_hello);
+        w.put(&self.shared);
+        w.put(&self.outbound);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Session, SnapError> {
+        Ok(Session {
+            local_hello: r.get()?,
+            state: match r.get::<u8>()? {
+                0 => State::AwaitingHello,
+                1 => State::Active,
+                2 => State::Ended,
+                _ => return Err(SnapError::Corrupt("session phase out of range")),
+            },
+            remote_hello: r.get()?,
+            shared: r.get()?,
+            outbound: r.get()?,
+        })
+    }
 }
 
 /// Capability negotiation: for each name, the highest version both sides

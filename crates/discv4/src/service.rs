@@ -12,6 +12,7 @@ use crate::packet::{decode_packet, encode_packet, Packet, MAX_NEIGHBORS_PER_PACK
 use enode::{Endpoint, NodeId, NodeRecord};
 use ethcrypto::secp256k1::SecretKey;
 use kad::{Lookup, LookupStatus, Metric, RoutingTable};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
 
 /// Tunables. Defaults mirror Geth 1.7.3 (the paper's baseline, §4).
@@ -110,34 +111,93 @@ pub struct Stats {
     pub expired_drops: u64,
 }
 
-/// One pending ping's image inside [`Discv4State`]: `(to, deadline_ms,
-/// sent_ms, eviction_replacement, queued_findnode)`.
-pub type PendingPingState = (NodeRecord, u64, u64, Option<NodeRecord>, Option<NodeId>);
+/// Snapshot image: `to ‖ deadline ‖ sent ‖ replacement ‖ findnode`.
+impl Snap for PendingPing {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.to);
+        w.put(&self.deadline_ms);
+        w.put(&self.sent_ms);
+        w.put(&self.eviction_replacement);
+        w.put(&self.queued_findnode);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<PendingPing, SnapError> {
+        Ok(PendingPing {
+            to: r.get()?,
+            deadline_ms: r.get()?,
+            sent_ms: r.get()?,
+            eviction_replacement: r.get()?,
+            queued_findnode: r.get()?,
+        })
+    }
+}
 
-/// Plain-data image of a [`Discv4`] engine's dynamic state for
-/// checkpoint/restore (everything except the caller-held identity key,
-/// endpoint, and config).
-#[derive(Debug, Clone)]
-pub struct Discv4State {
-    /// Routing-table contents (`RoutingTable::export_entries`).
-    pub table: Vec<(u16, Vec<(NodeRecord, u64)>)>,
-    /// ping hash → `(to, deadline_ms, sent_ms, eviction_replacement,
-    /// queued_findnode)`.
-    pub pending_pings: Vec<([u8; 32], PendingPingState)>,
-    /// node → `(deadline_ms, sent_ms)`.
-    pub pending_queries: Vec<(NodeId, (u64, u64))>,
-    /// node → `(bonded_at_ms, record)`.
-    pub bonds: Vec<(NodeId, (u64, NodeRecord))>,
-    /// node → last inbound ping time.
-    pub reverse_bonds: Vec<(NodeId, u64)>,
-    /// The in-flight lookup, if any.
-    pub lookup: Option<kad::LookupState>,
-    /// Wire-level target id of the active lookup.
-    pub lookup_target_id: Option<NodeId>,
-    /// Undrained application events.
-    pub events: Vec<Event>,
-    /// Validation counters.
-    pub stats: Stats,
+/// Snapshot image: `deadline ‖ sent`.
+impl Snap for PendingQuery {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(self.deadline_ms, self.sent_ms));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<PendingQuery, SnapError> {
+        let (deadline_ms, sent_ms) = r.get()?;
+        Ok(PendingQuery {
+            deadline_ms,
+            sent_ms,
+        })
+    }
+}
+
+/// Snapshot image: the counters in declaration order.
+impl Snap for Stats {
+    fn put(&self, w: &mut SnapWriter) {
+        for v in [
+            self.lookups_started,
+            self.findnodes_sent,
+            self.pings_sent,
+            self.pongs_received,
+            self.neighbors_received,
+            self.drops,
+            self.expired_drops,
+        ] {
+            w.put(&v);
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Stats, SnapError> {
+        Ok(Stats {
+            lookups_started: r.get()?,
+            findnodes_sent: r.get()?,
+            pings_sent: r.get()?,
+            pongs_received: r.get()?,
+            neighbors_received: r.get()?,
+            drops: r.get()?,
+            expired_drops: r.get()?,
+        })
+    }
+}
+
+/// Snapshot image: tag 0 `NodeSeen`, 1 `NodeVerified`, 2 `LookupDone`,
+/// then the variant's fields.
+impl Snap for Event {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            Event::NodeSeen(rec) => w.put(&(0u8, *rec)),
+            Event::NodeVerified(rec) => w.put(&(1u8, *rec)),
+            Event::LookupDone { all_seen, queries } => {
+                w.put(&2u8);
+                w.put(all_seen);
+                w.put(queries);
+            }
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Event, SnapError> {
+        Ok(match r.get::<u8>()? {
+            0 => Event::NodeSeen(r.get()?),
+            1 => Event::NodeVerified(r.get()?),
+            2 => Event::LookupDone {
+                all_seen: r.get()?,
+                queries: r.get()?,
+            },
+            _ => return Err(SnapError::Corrupt("discv4 event tag out of range")),
+        })
+    }
 }
 
 /// The discv4 engine for one node.
@@ -199,106 +259,53 @@ impl Discv4 {
         }
     }
 
-    /// Capture the engine's dynamic protocol state for checkpoint/restore.
-    /// The identity key, endpoint, and config are owned by the caller (they
-    /// are part of the node identity) and supplied again on restore.
-    pub fn to_state(&self) -> Discv4State {
-        Discv4State {
-            table: self.table.export_entries(),
-            pending_pings: self
-                .pending_pings
-                .iter()
-                .map(|(hash, p)| {
-                    (
-                        *hash,
-                        (
-                            p.to,
-                            p.deadline_ms,
-                            p.sent_ms,
-                            p.eviction_replacement,
-                            p.queued_findnode,
-                        ),
-                    )
-                })
-                .collect(),
-            pending_queries: self
-                .pending_queries
-                .iter()
-                .map(|(id, q)| (*id, (q.deadline_ms, q.sent_ms)))
-                .collect(),
-            bonds: self.bonds.iter().map(|(id, b)| (*id, *b)).collect(),
-            reverse_bonds: self.reverse_bonds.iter().map(|(id, t)| (*id, *t)).collect(),
-            lookup: self.lookup.as_ref().map(Lookup::to_state),
-            lookup_target_id: self.lookup_target_id,
-            events: self.events.clone(),
-            stats: self.stats,
-        }
+    /// Append the engine's dynamic protocol state — endpoint, routing
+    /// table, pending pings and queries, bonds, the in-flight lookup,
+    /// undrained events and counters — to a snapshot section. The
+    /// identity key and config are owned by the caller (they are part of
+    /// the node identity) and supplied again to [`Discv4::read_state`].
+    pub fn write_state(&self, w: &mut SnapWriter) {
+        w.put(&self.endpoint);
+        w.put(&self.table.export_entries());
+        w.put(&self.pending_pings);
+        w.put(&self.pending_queries);
+        w.put(&self.bonds);
+        w.put(&self.reverse_bonds);
+        w.put(&self.lookup);
+        w.put(&self.lookup_target_id);
+        w.put(&self.events);
+        w.put(&self.stats);
     }
 
-    /// Rebuild an engine mid-protocol from [`Discv4::to_state`] output plus
-    /// the caller-held identity (`key`, `endpoint`, `config`).
-    pub fn from_state(
+    /// Rebuild an engine mid-protocol from [`Discv4::write_state`] output
+    /// plus the caller-held identity (`key`, `config`).
+    pub fn read_state(
         key: SecretKey,
-        endpoint: Endpoint,
         config: Config,
-        s: Discv4State,
-    ) -> Discv4 {
+        r: &mut SnapReader<'_>,
+    ) -> Result<Discv4, SnapError> {
         let id = NodeId::from_secret_key(&key);
-        Discv4 {
-            table: RoutingTable::from_entries(id, config.metric, s.table),
+        let endpoint = r.get()?;
+        Ok(Discv4 {
+            table: RoutingTable::from_entries(id, config.metric, r.get()?),
             key,
             id,
             endpoint,
             config,
-            pending_pings: s
-                .pending_pings
-                .into_iter()
-                .map(
-                    |(hash, (to, deadline_ms, sent_ms, eviction_replacement, queued_findnode))| {
-                        (
-                            hash,
-                            PendingPing {
-                                to,
-                                deadline_ms,
-                                sent_ms,
-                                eviction_replacement,
-                                queued_findnode,
-                            },
-                        )
-                    },
-                )
-                .collect(),
-            pending_queries: s
-                .pending_queries
-                .into_iter()
-                .map(|(id, (deadline_ms, sent_ms))| {
-                    (
-                        id,
-                        PendingQuery {
-                            deadline_ms,
-                            sent_ms,
-                        },
-                    )
-                })
-                .collect(),
-            bonds: s.bonds.into_iter().collect(),
-            reverse_bonds: s.reverse_bonds.into_iter().collect(),
-            lookup: s.lookup.map(Lookup::from_state),
-            lookup_target_id: s.lookup_target_id,
-            events: s.events,
-            stats: s.stats,
-        }
+            pending_pings: r.get()?,
+            pending_queries: r.get()?,
+            bonds: r.get()?,
+            reverse_bonds: r.get()?,
+            lookup: r.get()?,
+            lookup_target_id: r.get()?,
+            events: r.get()?,
+            stats: r.get()?,
+        })
     }
 
     /// This node's ID.
     pub fn local_id(&self) -> &NodeId {
         &self.id
-    }
-
-    /// The endpoint this engine advertises (needed to rebuild it from a
-    /// [`Discv4State`] when the caller did not retain the address).
-    pub fn endpoint(&self) -> Endpoint {
-        self.endpoint
     }
 
     /// Immutable access to the routing table.
@@ -682,5 +689,100 @@ impl Discv4 {
 
         out.extend(self.advance_lookup(now_ms));
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::Ipv4Addr;
+
+    fn rec(b: u8) -> NodeRecord {
+        NodeRecord {
+            id: NodeId([b; 64]),
+            endpoint: Endpoint {
+                ip: Ipv4Addr::new(10, 0, 0, b),
+                udp_port: 30303,
+                tcp_port: 30304,
+            },
+        }
+    }
+
+    #[test]
+    fn discv4_state_round_trips() {
+        let key = SecretKey::from_bytes(&[0x11; 32]).unwrap();
+        let config = Config::default();
+        let mut disc = Discv4::new(key, rec(0).endpoint, config.clone());
+        disc.table = RoutingTable::from_entries(
+            disc.id,
+            config.metric,
+            vec![(3, vec![(rec(1), 100), (rec(2), 200)]), (250, vec![])],
+        );
+        disc.pending_pings.insert(
+            [7u8; 32],
+            PendingPing {
+                to: rec(3),
+                deadline_ms: 1_000,
+                sent_ms: 900,
+                eviction_replacement: Some(rec(4)),
+                queued_findnode: Some(NodeId([5u8; 64])),
+            },
+        );
+        disc.pending_queries.insert(
+            NodeId([6u8; 64]),
+            PendingQuery {
+                deadline_ms: 2_000,
+                sent_ms: 1_500,
+            },
+        );
+        disc.bonds.insert(NodeId([8u8; 64]), (50, rec(8)));
+        disc.reverse_bonds.insert(NodeId([9u8; 64]), 60);
+        let mut lookup = Lookup::new([0xAA; 32], vec![rec(10), rec(14)]);
+        lookup.next_queries();
+        disc.lookup = Some(lookup);
+        disc.lookup_target_id = Some(NodeId([0xBB; 64]));
+        disc.events = vec![
+            Event::NodeSeen(rec(11)),
+            Event::NodeVerified(rec(12)),
+            Event::LookupDone {
+                all_seen: vec![rec(13)],
+                queries: 2,
+            },
+        ];
+        disc.stats = Stats {
+            lookups_started: 1,
+            findnodes_sent: 2,
+            pings_sent: 3,
+            pongs_received: 4,
+            neighbors_received: 5,
+            drops: 6,
+            expired_drops: 1,
+        };
+
+        let mut w = SnapWriter::new();
+        disc.write_state(&mut w);
+        let buf = w.finish();
+        let mut r = SnapReader::new(&buf);
+        let back = Discv4::read_state(key, config, &mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back.endpoint, disc.endpoint);
+        assert_eq!(back.table.export_entries(), disc.table.export_entries());
+        assert_eq!(back.bonds, disc.bonds);
+        assert_eq!(back.reverse_bonds, disc.reverse_bonds);
+        assert_eq!(
+            back.lookup.as_ref().map(Lookup::all_seen),
+            disc.lookup.as_ref().map(Lookup::all_seen)
+        );
+        assert_eq!(back.lookup_target_id, disc.lookup_target_id);
+        assert_eq!(back.events, disc.events);
+        assert_eq!(back.stats, disc.stats);
+        // Everything else (pending tables, lookup progress) is pinned by
+        // the re-encoded image matching byte for byte.
+        let mut w = SnapWriter::new();
+        back.write_state(&mut w);
+        assert_eq!(w.finish(), buf);
+        // A truncated image is an error, never a panic.
+        let mut r = SnapReader::new(&buf[..buf.len() - 1]);
+        assert!(Discv4::read_state(key, Config::default(), &mut r).is_err());
     }
 }

@@ -2,6 +2,7 @@
 
 use ethcrypto::keccak256;
 use ethcrypto::secp256k1::{PublicKey, SecretKey};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::fmt;
 
 /// A DEVp2p node ID: the 64-byte uncompressed secp256k1 public key of the
@@ -109,6 +110,16 @@ impl rlp::Encodable for NodeId {
 impl rlp::Decodable for NodeId {
     fn rlp_decode(r: &rlp::Rlp<'_>) -> Result<Self, rlp::RlpError> {
         Ok(NodeId(r.as_array::<64>()?))
+    }
+}
+
+/// Snapshot image: the 64 raw bytes.
+impl Snap for NodeId {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.0);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<NodeId, SnapError> {
+        r.get().map(NodeId)
     }
 }
 

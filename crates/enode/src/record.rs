@@ -2,6 +2,7 @@
 
 use crate::id::NodeId;
 use crate::url;
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -143,6 +144,33 @@ impl rlp::Decodable for NodeRecord {
 
 impl rlp::EncodableListElem for NodeRecord {}
 impl rlp::DecodableListElem for NodeRecord {}
+
+/// Snapshot image: ip, udp port, tcp port.
+impl Snap for Endpoint {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(self.ip, self.udp_port, self.tcp_port));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Endpoint, SnapError> {
+        let (ip, udp_port, tcp_port) = r.get()?;
+        Ok(Endpoint {
+            ip,
+            udp_port,
+            tcp_port,
+        })
+    }
+}
+
+/// Snapshot image: id, then endpoint.
+impl Snap for NodeRecord {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.id);
+        w.put(&self.endpoint);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<NodeRecord, SnapError> {
+        let (id, endpoint) = r.get()?;
+        Ok(NodeRecord { id, endpoint })
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,6 @@
 //! Both the behavioral nodes and NodeFinder itself use this driver; policy
 //! (when to dial, when to disconnect, what to log) lives with the caller.
 
-use crate::state;
 use bytes::BytesMut;
 use devp2p::{DisconnectReason, Hello, Session, SessionEvent, SharedCapability};
 use enode::NodeId;
@@ -365,89 +364,52 @@ impl PeerConn {
     // ---- checkpoint/restore -------------------------------------------
 
     /// Append this connection's full protocol state to a snapshot section.
-    pub fn encode_into(&self, w: &mut SnapWriter) {
-        w.usize(self.conn);
-        w.u8(match self.role {
-            Role::Initiator => 0,
-            Role::Recipient => 1,
-        });
-        w.u8(match self.stage {
-            Stage::Connecting => 0,
-            Stage::Handshaking => 1,
-            Stage::Active => 2,
-            Stage::Dead => 3,
-        });
-        w.bool(self.handshake.is_some());
+    pub fn write_state(&self, w: &mut SnapWriter) {
+        w.put(&self.conn);
+        w.put(&self.role);
+        w.put(&(self.stage as u8));
+        w.put(&self.handshake.is_some());
         if let Some(hs) = &self.handshake {
-            state::w_handshake(w, &hs.to_state());
+            hs.write_state(w);
         }
-        state::w_opt_node_id(w, &self.remote_id_hint);
-        w.bool(self.codec.is_some());
-        if let Some(codec) = &self.codec {
-            state::w_frame_codec(w, &codec.to_state());
-        }
-        w.bool(self.session.is_some());
-        if let Some(session) = &self.session {
-            state::w_session(w, &session.to_state());
-        }
-        state::w_hello(w, &self.local_hello);
+        w.put(&self.remote_id_hint);
+        w.put(&self.codec);
+        w.put(&self.session);
+        w.put(&self.local_hello);
         w.bytes(&self.inbuf);
-        state::w_opt_node_id(w, &self.peer_id);
-        w.u64(self.opened_at_ms);
+        w.put(&self.peer_id);
+        w.put(&self.opened_at_ms);
     }
 
-    /// Rebuild a connection from [`PeerConn::encode_into`] output.
+    /// Rebuild a connection from [`PeerConn::write_state`] output.
     /// `static_key` is the owning node's current identity key (identity
     /// rotation kills every live connection, so one key covers them all).
-    pub fn decode_from(
+    pub fn read_state(
         r: &mut SnapReader<'_>,
         static_key: &SecretKey,
     ) -> Result<PeerConn, SnapError> {
-        let conn = r.usize()?;
-        let role = match r.u8()? {
-            0 => Role::Initiator,
-            1 => Role::Recipient,
-            _ => return Err(SnapError::Corrupt("peer-conn role tag out of range")),
-        };
-        let stage = match r.u8()? {
-            0 => Stage::Connecting,
-            1 => Stage::Handshaking,
-            2 => Stage::Active,
-            3 => Stage::Dead,
-            _ => return Err(SnapError::Corrupt("peer-conn stage tag out of range")),
-        };
-        let handshake = if r.bool()? {
-            Some(Handshake::from_state(*static_key, state::r_handshake(r)?))
-        } else {
-            None
-        };
-        let remote_id_hint = state::r_opt_node_id(r)?;
-        let codec = if r.bool()? {
-            Some(FrameCodec::from_state(state::r_frame_codec(r)?))
-        } else {
-            None
-        };
-        let session = if r.bool()? {
-            Some(Session::from_state(state::r_session(r)?))
-        } else {
-            None
-        };
-        let local_hello = state::r_hello(r)?;
-        let inbuf = BytesMut::from(r.bytes()?);
-        let peer_id = state::r_opt_node_id(r)?;
-        let opened_at_ms = r.u64()?;
         Ok(PeerConn {
-            conn,
-            role,
-            stage,
-            handshake,
-            remote_id_hint,
-            codec,
-            session,
-            local_hello,
-            inbuf,
-            peer_id,
-            opened_at_ms,
+            conn: r.get()?,
+            role: r.get()?,
+            stage: match r.get::<u8>()? {
+                0 => Stage::Connecting,
+                1 => Stage::Handshaking,
+                2 => Stage::Active,
+                3 => Stage::Dead,
+                _ => return Err(SnapError::Corrupt("peer-conn stage tag out of range")),
+            },
+            handshake: if r.get()? {
+                Some(Handshake::read_state(*static_key, r)?)
+            } else {
+                None
+            },
+            remote_id_hint: r.get()?,
+            codec: r.get()?,
+            session: r.get()?,
+            local_hello: r.get()?,
+            inbuf: BytesMut::from(r.bytes()?),
+            peer_id: r.get()?,
+            opened_at_ms: r.get()?,
         })
     }
 }

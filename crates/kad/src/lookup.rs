@@ -8,6 +8,7 @@
 
 use crate::distance::xor_cmp;
 use enode::{NodeId, NodeRecord};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeSet;
 
 /// Concurrency factor α (both Geth and the Kademlia paper use 3).
@@ -180,61 +181,53 @@ impl Lookup {
     pub fn all_seen(&self) -> Vec<NodeRecord> {
         self.candidates.iter().map(|c| c.record).collect()
     }
+}
 
-    /// Capture the lookup for checkpoint/restore. Candidate hashes and the
-    /// `seen` set are derived data and deliberately omitted.
-    pub fn to_state(&self) -> LookupState {
-        LookupState {
-            target_hash: self.target_hash,
-            candidates: self
-                .candidates
-                .iter()
-                .map(|c| (c.record, c.queried, c.failed))
-                .collect(),
-            in_flight: self.in_flight,
-            queries_sent: self.queries_sent,
-        }
+/// Snapshot image: `record ‖ queried ‖ failed`. The hash is derived data
+/// and recomputed on restore.
+impl Snap for Candidate {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.record);
+        w.put(&self.queried);
+        w.put(&self.failed);
     }
-
-    /// Rebuild a lookup mid-walk from [`Lookup::to_state`] output. The
-    /// candidate vector is restored verbatim (it is already sorted by XOR
-    /// distance), so tie ordering survives the round trip.
-    pub fn from_state(s: LookupState) -> Lookup {
-        let mut seen = BTreeSet::new();
-        let candidates = s
-            .candidates
-            .into_iter()
-            .map(|(record, queried, failed)| {
-                seen.insert(record.id);
-                Candidate {
-                    hash: record.id.kad_hash(),
-                    record,
-                    queried,
-                    failed,
-                }
-            })
-            .collect();
-        Lookup {
-            target_hash: s.target_hash,
-            candidates,
-            seen,
-            in_flight: s.in_flight,
-            queries_sent: s.queries_sent,
-        }
+    fn get(r: &mut SnapReader<'_>) -> Result<Candidate, SnapError> {
+        let (record, queried, failed): (NodeRecord, _, _) = r.get()?;
+        Ok(Candidate {
+            hash: record.id.kad_hash(),
+            record,
+            queried,
+            failed,
+        })
     }
 }
 
-/// Plain-data image of a [`Lookup`] for checkpoint/restore.
-#[derive(Debug, Clone)]
-pub struct LookupState {
-    /// The hashed lookup target.
-    pub target_hash: [u8; 32],
-    /// `(record, queried, failed)` in frontier (XOR-sorted) order.
-    pub candidates: Vec<(NodeRecord, bool, bool)>,
-    /// Queries currently awaiting a response.
-    pub in_flight: usize,
-    /// Total queries issued so far.
-    pub queries_sent: usize,
+/// Snapshot image: target hash, candidates in frontier (XOR-sorted)
+/// order, in-flight and sent query counts. The candidate vector is
+/// restored verbatim, so tie ordering survives the round trip; the
+/// `seen` set is derived from it.
+impl Snap for Lookup {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.target_hash);
+        w.put(&self.candidates);
+        w.put(&self.in_flight);
+        w.put(&self.queries_sent);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Lookup, SnapError> {
+        let target_hash = r.get()?;
+        let candidates: Vec<Candidate> = r.get()?;
+        let mut seen = BTreeSet::new();
+        for c in &candidates {
+            seen.insert(c.record.id);
+        }
+        Ok(Lookup {
+            target_hash,
+            seen,
+            candidates,
+            in_flight: r.get()?,
+            queries_sent: r.get()?,
+        })
+    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,20 @@
 //! The discrete-event engine: hosts, UDP, TCP, timers, churn.
 
-use crate::faults::{Fault, FaultSchedule, FaultWindow, LinkSelector, TcpFate, UdpFate};
+use crate::faults::{FaultSchedule, FaultWindow, TcpFate, UdpFate};
 use crate::payload::Payload;
 use crate::sched::TimerWheel;
-use crate::snap::{SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
 use crate::topology::{latency_between, HostMeta};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use obs::MetricId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::Ipv4Addr;
+
+/// Magic prefixing every engine-level world snapshot.
+pub const SNAP_MAGIC: [u8; 4] = *b"PSNP";
+
+/// Current engine snapshot format version.
+pub const SNAP_VERSION: u8 = 1;
 
 /// Identifies a host inside one simulation.
 pub type HostId = usize;
@@ -114,18 +120,21 @@ pub trait Host {
     /// Serialize the behaviour's dynamic state for a world snapshot.
     /// `None` (the default) marks the behaviour as non-checkpointable,
     /// which fails [`NetSim::snapshot`] with
-    /// [`SnapError::Unsupported`](crate::snap::SnapError::Unsupported).
+    /// [`SnapError::Unsupported`].
     fn save_state(&self) -> Option<Vec<u8>> {
         None
     }
     /// Restore state captured by [`Host::save_state`] into a freshly
     /// rebuilt behaviour (the restore shell re-creates every behaviour
     /// with its static configuration first; this call then overwrites
-    /// the dynamic parts). Returns `false` (the default) when the
-    /// behaviour does not support restore, which fails
-    /// [`NetSim::restore`].
-    fn load_state(&mut self, _bytes: &[u8]) -> bool {
-        false
+    /// the dynamic parts). `conn_slots` is the restored engine's
+    /// connection-slab length: every [`ConnId`] the behaviour holds
+    /// indexes below it, so a decoded id beyond it is corrupt. An error
+    /// (`Unsupported` by default) fails [`NetSim::restore`] with it.
+    fn load_state(&mut self, _bytes: &[u8], _conn_slots: usize) -> Result<(), SnapError> {
+        Err(SnapError::Unsupported(
+            "host behaviour does not implement load_state",
+        ))
     }
     /// Surrender the behaviour as `Any` so experiment harnesses can
     /// downcast it back to the concrete type and read its logs after
@@ -414,6 +423,18 @@ impl Ev {
             | Ev::TcpEstablish { conn, .. }
             | Ev::TcpData { conn, .. }
             | Ev::TcpClose { conn, .. } => Some(*conn),
+            _ => None,
+        }
+    }
+
+    /// The host an event is addressed to, if it names one.
+    fn host_ref(&self) -> Option<HostId> {
+        match self {
+            Ev::Udp { to, .. } => Some(*to),
+            Ev::Timer { host, .. }
+            | Ev::StartHost { host }
+            | Ev::StopHost { host }
+            | Ev::SetReachable { host, .. } => Some(*host),
             _ => None,
         }
     }
@@ -1554,94 +1575,42 @@ impl NetSim {
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapError> {
         debug_assert_eq!(self.origin, 0, "snapshot during dispatch");
         let mut w = SnapWriter::with_header(SNAP_MAGIC, SNAP_VERSION);
-        w.u64(self.now);
-        w.u32(self.ext_seq);
-        w.u64(self.events_processed);
-        w.u64(self.udp_sent);
-        w.u64(self.udp_dropped);
-        w.u64(self.tcp.connects);
-        w.u64(self.tcp.resets);
-        w.u64(self.tcp.bytes);
-        w.u64(self.tcp.segments_dropped);
-        w.u64(self.queue_depth_peak);
-        // Fault windows can be installed mid-run via `add_fault`, so the
-        // schedule is state, not rebuildable configuration.
-        let windows = self.config.faults.windows();
-        w.usize(windows.len());
-        for win in windows {
-            write_fault_window(&mut w, win);
-        }
+        w.put(&self.now);
+        w.put(&self.ext_seq);
+        w.put(&(self.events_processed, self.udp_sent, self.udp_dropped));
+        w.put(&self.tcp);
+        w.put(&self.queue_depth_peak);
+        w.put(&self.config.faults);
         // Connection slab and free list, order-exact: `Ctx::tcp_connect`
         // previews the free list top-down, so its LIFO order is
         // observable and must survive the round trip.
-        w.usize(self.conns.len());
-        for e in &self.conns {
-            w.u32(e.generation);
-            w.u32(e.pending);
-            w.usize(e.info.initiator);
-            match e.info.acceptor {
-                Some(a) => {
-                    w.bool(true);
-                    w.usize(a);
-                }
-                None => w.bool(false),
-            }
-            write_addr(&mut w, e.info.remote_addr);
-            write_addr(&mut w, e.info.local_addr);
-            w.u8(match e.info.state {
-                ConnState::Dialing => 0,
-                ConnState::Established => 1,
-                ConnState::Closed => 2,
-            });
-            w.u32(e.info.rtt_ms);
-        }
-        w.usize(self.conn_free.len());
-        for &i in &self.conn_free {
-            w.u32(i);
-        }
-        w.usize(self.slots.len());
+        w.put(&self.conns);
+        w.put(&self.conn_free);
+        w.put(&self.slots.len());
         for slot in &self.slots {
-            w.bool(slot.alive);
-            w.u32(slot.shard);
-            for word in slot.rng.state() {
-                w.u64(word);
-            }
-            w.u32(slot.next_key);
-            w.bool(slot.meta.reachable);
-            w.usize(slot.nat.entries.len());
-            for &(k, t) in &slot.nat.entries {
-                w.u64(k);
-                w.u64(t);
-            }
-            w.usize(slot.live_conns.len());
-            for &c in &slot.live_conns {
-                w.usize(c);
-            }
-            match &slot.host {
-                None => w.bool(false),
-                Some(h) => {
-                    let state = h.save_state().ok_or(SnapError::Unsupported(
-                        "host behaviour does not implement save_state",
-                    ))?;
-                    w.bool(true);
-                    w.bytes(&state);
-                }
+            w.put(&(slot.alive, slot.shard));
+            let [a, b, c, d] = slot.rng.state();
+            w.put(&(a, b, c, d));
+            w.put(&(slot.next_key, slot.meta.reachable));
+            w.put(&slot.nat.entries);
+            w.put(&slot.live_conns);
+            w.put(&slot.host.is_some());
+            if let Some(h) = &slot.host {
+                let state = h.save_state().ok_or(SnapError::Unsupported(
+                    "host behaviour does not implement save_state",
+                ))?;
+                w.bytes(&state);
             }
         }
         // Shards: dispatch counters plus every pending wheel event.
-        w.usize(self.shards.len());
+        w.put(&self.shards.len());
         for shard in &self.shards {
-            w.u64(shard.events);
-            w.u64(shard.depth_peak);
-            w.usize(shard.queue.len());
-            shard.queue.for_each_pending(|at, key, item| {
-                let (owner, prov, ev) = item;
-                w.u64(at);
-                w.u64(key);
-                w.usize(*owner);
-                w.u64(prov.cause);
-                w.u32(prov.depth);
-                write_ev(&mut w, ev);
+            w.put(&(shard.events, shard.depth_peak));
+            w.put(&shard.queue.len());
+            shard.queue.for_each_pending(|at, key, (owner, prov, ev)| {
+                w.put(&(at, key, *owner));
+                w.put(prov);
+                w.put(ev);
             });
         }
         Ok(w.finish())
@@ -1660,133 +1629,102 @@ impl NetSim {
     /// and pending-count accounting (both were already captured), so a
     /// resumed run dispatches the exact sequence the original would
     /// have.
+    ///
+    /// The whole image is decoded and validated before anything is
+    /// written, so a rejected image leaves the shell untouched — with
+    /// one window: host sections load in host order, each with its
+    /// slot, so a corrupt section in host k fails after hosts `0..k`
+    /// have loaded theirs.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
         let mut r = SnapReader::with_header(bytes, SNAP_MAGIC, SNAP_VERSION)?;
-        self.now = r.u64()?;
-        self.ext_seq = r.u32()?;
-        self.events_processed = r.u64()?;
-        self.udp_sent = r.u64()?;
-        self.udp_dropped = r.u64()?;
-        self.tcp = TcpCounters {
-            connects: r.u64()?,
-            resets: r.u64()?,
-            bytes: r.u64()?,
-            segments_dropped: r.u64()?,
-        };
-        self.queue_depth_peak = r.u64()?;
-        let mut faults = FaultSchedule::default();
-        for _ in 0..r.usize()? {
-            faults.push(read_fault_window(&mut r)?);
+        let now = r.get()?;
+        let ext_seq = r.get()?;
+        let (events_processed, udp_sent, udp_dropped) = r.get()?;
+        let tcp = r.get()?;
+        let queue_depth_peak = r.get()?;
+        let faults = r.get()?;
+        let conns: Vec<ConnEntry> = r.get()?;
+        let conn_free: Vec<u32> = r.get()?;
+        // Every host and connection index the image holds must name a
+        // slot of this shell and a cell of the restored slab.
+        let n_hosts = self.slots.len();
+        let host_ok = |h: HostId| h < n_hosts;
+        let conn_ok = |c: ConnId| conn_idx(c) < conns.len();
+        let ends_ok =
+            |e: &ConnEntry| host_ok(e.info.initiator) && e.info.acceptor.is_none_or(host_ok);
+        if !conns.iter().all(ends_ok) || !conn_free.iter().all(|&i| conn_ok(i as ConnId)) {
+            return Err(SnapError::Corrupt("conn slab index out of range"));
         }
-        self.config.faults = faults;
-        let n_conns = r.usize()?;
-        let mut conns = Vec::with_capacity(n_conns);
-        for _ in 0..n_conns {
-            let generation = r.u32()?;
-            let pending = r.u32()?;
-            let initiator = r.usize()?;
-            let acceptor = if r.bool()? { Some(r.usize()?) } else { None };
-            let remote_addr = read_addr(&mut r)?;
-            let local_addr = read_addr(&mut r)?;
-            let state = match r.u8()? {
-                0 => ConnState::Dialing,
-                1 => ConnState::Established,
-                2 => ConnState::Closed,
-                _ => return Err(SnapError::Corrupt("conn state tag out of range")),
-            };
-            let rtt_ms = r.u32()?;
-            conns.push(ConnEntry {
-                generation,
-                pending,
-                info: ConnInfo {
-                    initiator,
-                    acceptor,
-                    remote_addr,
-                    local_addr,
-                    state,
-                    rtt_ms,
-                },
-            });
-        }
-        self.conns = conns;
-        self.conn_free.clear();
-        for _ in 0..r.usize()? {
-            self.conn_free.push(r.u32()?);
-        }
-        if r.usize()? != self.slots.len() {
+        if r.count()? != n_hosts {
             return Err(SnapError::Corrupt("host count differs from restore shell"));
         }
         let n_shards = self.shards.len();
-        for slot in &mut self.slots {
-            slot.alive = r.bool()?;
-            let shard = r.u32()?;
-            if shard as usize >= n_shards {
-                return Err(SnapError::Corrupt("slot shard out of range"));
+        let mut slots = Vec::with_capacity(n_hosts);
+        for slot in &self.slots {
+            let image = SlotImage::read(&mut r)?;
+            if image.shard as usize >= n_shards || !image.live_conns.iter().all(|&c| conn_ok(c)) {
+                return Err(SnapError::Corrupt("slot shard or conn out of range"));
             }
-            slot.shard = shard;
-            let mut state = [0u64; 4];
-            for word in &mut state {
-                *word = r.u64()?;
-            }
-            slot.rng = StdRng::from_state(state);
-            slot.next_key = r.u32()?;
-            slot.meta.reachable = r.bool()?;
-            slot.nat.entries.clear();
-            for _ in 0..r.usize()? {
-                let key = r.u64()?;
-                let at = r.u64()?;
-                slot.nat.entries.push((key, at));
-            }
-            slot.live_conns.clear();
-            for _ in 0..r.usize()? {
-                slot.live_conns.push(r.usize()?);
-            }
-            if r.bool()? {
-                let state = r.bytes()?;
-                let host = slot.host.as_mut().ok_or(SnapError::Corrupt(
+            if image.host.is_some() && slot.host.is_none() {
+                return Err(SnapError::Corrupt(
                     "snapshot carries behaviour state for a removed host",
-                ))?;
-                if !host.load_state(state) {
-                    return Err(SnapError::Unsupported(
-                        "host behaviour does not implement load_state",
-                    ));
-                }
+                ));
             }
+            slots.push(image);
         }
-        if r.usize()? != self.shards.len() {
+        if r.count()? != n_shards {
             return Err(SnapError::Corrupt("shard count differs from restore shell"));
         }
-        let n_slots = self.slots.len();
-        let n_conn_cells = self.conns.len();
-        for shard in &mut self.shards {
-            shard.events = r.u64()?;
-            shard.depth_peak = r.u64()?;
-            // Wipe whatever the shell's world building scheduled; the
-            // snapshot's pending events replace it wholesale.
-            shard.queue = TimerWheel::new();
-            shard.head = None;
-            shard.stale = true;
-            for _ in 0..r.usize()? {
-                let at = r.u64()?;
-                let key = r.u64()?;
-                let owner = r.usize()?;
-                if owner >= n_slots {
-                    return Err(SnapError::Corrupt("event owner out of range"));
+        // Pending events go straight into fresh wheels, swapped in below.
+        let mut shards = Vec::with_capacity(n_shards);
+        for _ in 0..n_shards {
+            let counters: (u64, u64) = r.get()?;
+            let mut queue = TimerWheel::new();
+            for _ in 0..r.count()? {
+                let (at, key, owner, prov, ev): (u64, u64, HostId, Prov, Ev) = r.get()?;
+                if !host_ok(owner)
+                    || !ev.host_ref().is_none_or(host_ok)
+                    || !ev.conn_ref().is_none_or(conn_ok)
+                {
+                    return Err(SnapError::Corrupt("event host or conn out of range"));
                 }
-                let prov = Prov {
-                    cause: r.u64()?,
-                    depth: r.u32()?,
-                };
-                let ev = read_ev(&mut r)?;
-                if let Some(id) = ev.conn_ref() {
-                    if conn_idx(id) >= n_conn_cells {
-                        return Err(SnapError::Corrupt("event references conn out of range"));
-                    }
-                }
-                shard.queue.push(at, key, (owner, prov, ev));
+                queue.push(at, key, (owner, prov, ev));
             }
+            shards.push((counters, queue));
         }
         r.finish()?;
+
+        for (slot, image) in self.slots.iter_mut().zip(slots) {
+            if let (Some(host), Some(state)) = (slot.host.as_mut(), image.host) {
+                host.load_state(state, conns.len())?;
+            }
+            slot.alive = image.alive;
+            slot.shard = image.shard;
+            slot.rng = StdRng::from_state(image.rng);
+            slot.next_key = image.next_key;
+            slot.meta.reachable = image.reachable;
+            slot.nat.entries = image.nat;
+            slot.live_conns = image.live_conns;
+        }
+        for (shard, ((events, depth_peak), queue)) in self.shards.iter_mut().zip(shards) {
+            shard.events = events;
+            shard.depth_peak = depth_peak;
+            // Whatever the shell's world building scheduled is replaced
+            // wholesale by the snapshot's pending events.
+            shard.queue = queue;
+            shard.head = None;
+            shard.stale = true;
+        }
+        self.now = now;
+        self.ext_seq = ext_seq;
+        self.events_processed = events_processed;
+        self.udp_sent = udp_sent;
+        self.udp_dropped = udp_dropped;
+        self.tcp = tcp;
+        self.queue_depth_peak = queue_depth_peak;
+        self.config.faults = faults;
+        self.conns = conns;
+        self.conn_free = conn_free;
         self.origin = 0;
         self.cur_key = 0;
         self.cur_cause = 0;
@@ -1796,164 +1734,175 @@ impl NetSim {
     }
 }
 
-fn write_addr(w: &mut SnapWriter, a: HostAddr) {
-    w.u32(u32::from(a.ip));
-    w.u16(a.port);
+/// One slot's dynamic state as decoded from a snapshot, held until the
+/// whole image has validated. The behaviour section stays a borrowed
+/// slice of the image.
+struct SlotImage<'a> {
+    alive: bool,
+    shard: u32,
+    rng: [u64; 4],
+    next_key: u32,
+    reachable: bool,
+    nat: Vec<(u64, u64)>,
+    live_conns: Vec<ConnId>,
+    host: Option<&'a [u8]>,
 }
 
-fn read_addr(r: &mut SnapReader<'_>) -> Result<HostAddr, SnapError> {
-    let ip = Ipv4Addr::from(r.u32()?);
-    let port = r.u16()?;
-    Ok(HostAddr::new(ip, port))
-}
-
-fn write_fault_window(w: &mut SnapWriter, win: &FaultWindow) {
-    match win.link {
-        LinkSelector::Any => w.u8(0),
-        LinkSelector::Host(a) => {
-            w.u8(1);
-            write_addr(w, a);
-        }
-        LinkSelector::Pair(a, b) => {
-            w.u8(2);
-            write_addr(w, a);
-            write_addr(w, b);
-        }
-    }
-    w.u64(win.from_ms);
-    w.u64(win.until_ms);
-    match win.fault {
-        Fault::UdpLoss(p) => {
-            w.u8(0);
-            w.f64(p);
-        }
-        Fault::LatencySpike(ms) => {
-            w.u8(1);
-            w.u64(ms);
-        }
-        Fault::Blackhole => w.u8(2),
-        Fault::TcpReset => w.u8(3),
-        Fault::TcpTruncate(limit) => {
-            w.u8(4);
-            w.usize(limit);
-        }
-        Fault::TcpCorrupt => w.u8(5),
+impl<'a> SlotImage<'a> {
+    /// Read one slot as [`NetSim::snapshot`] wrote it.
+    fn read(r: &mut SnapReader<'a>) -> Result<SlotImage<'a>, SnapError> {
+        let (alive, shard) = r.get()?;
+        let (a, b, c, d) = r.get()?;
+        let (next_key, reachable) = r.get()?;
+        Ok(SlotImage {
+            alive,
+            shard,
+            rng: [a, b, c, d],
+            next_key,
+            reachable,
+            nat: r.get()?,
+            live_conns: r.get()?,
+            host: if r.get()? { Some(r.bytes()?) } else { None },
+        })
     }
 }
 
-fn read_fault_window(r: &mut SnapReader<'_>) -> Result<FaultWindow, SnapError> {
-    let link = match r.u8()? {
-        0 => LinkSelector::Any,
-        1 => LinkSelector::Host(read_addr(r)?),
-        2 => {
-            let a = read_addr(r)?;
-            let b = read_addr(r)?;
-            LinkSelector::Pair(a, b)
-        }
-        _ => return Err(SnapError::Corrupt("link selector tag out of range")),
-    };
-    let from_ms = r.u64()?;
-    let until_ms = r.u64()?;
-    let fault = match r.u8()? {
-        0 => Fault::UdpLoss(r.f64()?),
-        1 => Fault::LatencySpike(r.u64()?),
-        2 => Fault::Blackhole,
-        3 => Fault::TcpReset,
-        4 => Fault::TcpTruncate(r.usize()?),
-        5 => Fault::TcpCorrupt,
-        _ => return Err(SnapError::Corrupt("fault tag out of range")),
-    };
-    Ok(FaultWindow {
-        link,
-        from_ms,
-        until_ms,
-        fault,
-    })
+/// Snapshot image: ip, then port.
+impl Snap for HostAddr {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(self.ip, self.port));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<HostAddr, SnapError> {
+        let (ip, port) = r.get()?;
+        Ok(HostAddr { ip, port })
+    }
 }
 
-// Event tags reuse `Ev::kind_idx` so the wire format and the profiler
-// attribution table stay in lockstep.
-fn write_ev(w: &mut SnapWriter, ev: &Ev) {
-    w.u8(ev.kind_idx() as u8);
-    match ev {
-        Ev::Udp { to, from, bytes } => {
-            w.usize(*to);
-            write_addr(w, *from);
-            w.bytes(bytes);
-        }
-        Ev::TcpSyn { conn } => w.usize(*conn),
-        Ev::TcpEstablish { conn, ok } => {
-            w.usize(*conn);
-            w.bool(*ok);
-        }
-        Ev::TcpData {
-            conn,
-            to_initiator,
+/// Snapshot image: the counters in declaration order.
+impl Snap for TcpCounters {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(
+            self.connects,
+            self.resets,
+            self.bytes,
+            self.segments_dropped,
+        ));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<TcpCounters, SnapError> {
+        let (connects, resets, bytes, segments_dropped) = r.get()?;
+        Ok(TcpCounters {
+            connects,
+            resets,
             bytes,
-        } => {
-            w.usize(*conn);
-            w.bool(*to_initiator);
-            w.bytes(bytes);
-        }
-        Ev::TcpClose { conn, to_initiator } => {
-            w.usize(*conn);
-            w.bool(*to_initiator);
-        }
-        Ev::Timer { host, token } => {
-            w.usize(*host);
-            w.u64(*token);
-        }
-        Ev::StartHost { host } | Ev::StopHost { host } => w.usize(*host),
-        Ev::SetReachable { host, reachable } => {
-            w.usize(*host);
-            w.bool(*reachable);
-        }
+            segments_dropped,
+        })
     }
 }
 
-fn read_ev(r: &mut SnapReader<'_>) -> Result<Ev, SnapError> {
-    Ok(match r.u8()? {
-        0 => {
-            let to = r.usize()?;
-            let from = read_addr(r)?;
-            let bytes = Payload::from(r.bytes()?);
-            Ev::Udp { to, from, bytes }
-        }
-        1 => Ev::TcpSyn { conn: r.usize()? },
-        2 => {
-            let conn = r.usize()?;
-            let ok = r.bool()?;
-            Ev::TcpEstablish { conn, ok }
-        }
-        3 => {
-            let conn = r.usize()?;
-            let to_initiator = r.bool()?;
-            let bytes = Payload::from(r.bytes()?);
+/// Snapshot image: generation, pending count, then the connection info
+/// with its state as a tag (0 dialing, 1 established, 2 closed).
+impl Snap for ConnEntry {
+    fn put(&self, w: &mut SnapWriter) {
+        let i = &self.info;
+        w.put(&(self.generation, self.pending, i.initiator, i.acceptor));
+        w.put(&(i.remote_addr, i.local_addr, i.state as u8, i.rtt_ms));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<ConnEntry, SnapError> {
+        let (generation, pending, initiator, acceptor) = r.get()?;
+        let (remote_addr, local_addr) = r.get()?;
+        let state = match r.get::<u8>()? {
+            0 => ConnState::Dialing,
+            1 => ConnState::Established,
+            2 => ConnState::Closed,
+            _ => return Err(SnapError::Corrupt("conn state tag out of range")),
+        };
+        Ok(ConnEntry {
+            generation,
+            pending,
+            info: ConnInfo {
+                initiator,
+                acceptor,
+                remote_addr,
+                local_addr,
+                state,
+                rtt_ms: r.get()?,
+            },
+        })
+    }
+}
+
+/// Snapshot image: cause key, then depth.
+impl Snap for Prov {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(self.cause, self.depth));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Prov, SnapError> {
+        let (cause, depth) = r.get()?;
+        Ok(Prov { cause, depth })
+    }
+}
+
+/// Snapshot image: the `Ev::kind_idx` tag — so the wire format and the
+/// profiler attribution table stay in lockstep — then the fields, with
+/// payloads as byte strings.
+impl Snap for Ev {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(self.kind_idx() as u8));
+        match self {
+            Ev::Udp { to, from, bytes } => {
+                w.put(&(*to, *from));
+                w.bytes(bytes);
+            }
+            Ev::TcpSyn { conn } => w.put(conn),
+            Ev::TcpEstablish { conn, ok } => w.put(&(*conn, *ok)),
             Ev::TcpData {
                 conn,
                 to_initiator,
                 bytes,
+            } => {
+                w.put(&(*conn, *to_initiator));
+                w.bytes(bytes);
             }
+            Ev::TcpClose { conn, to_initiator } => w.put(&(*conn, *to_initiator)),
+            Ev::Timer { host, token } => w.put(&(*host, *token)),
+            Ev::StartHost { host } | Ev::StopHost { host } => w.put(host),
+            Ev::SetReachable { host, reachable } => w.put(&(*host, *reachable)),
         }
-        4 => {
-            let conn = r.usize()?;
-            let to_initiator = r.bool()?;
-            Ev::TcpClose { conn, to_initiator }
-        }
-        5 => {
-            let host = r.usize()?;
-            let token = r.u64()?;
-            Ev::Timer { host, token }
-        }
-        6 => Ev::StartHost { host: r.usize()? },
-        7 => Ev::StopHost { host: r.usize()? },
-        8 => {
-            let host = r.usize()?;
-            let reachable = r.bool()?;
-            Ev::SetReachable { host, reachable }
-        }
-        _ => return Err(SnapError::Corrupt("event tag out of range")),
-    })
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Ev, SnapError> {
+        Ok(match r.get::<u8>()? {
+            0 => Ev::Udp {
+                to: r.get()?,
+                from: r.get()?,
+                bytes: Payload::from(r.bytes()?),
+            },
+            1 => Ev::TcpSyn { conn: r.get()? },
+            2 => Ev::TcpEstablish {
+                conn: r.get()?,
+                ok: r.get()?,
+            },
+            3 => Ev::TcpData {
+                conn: r.get()?,
+                to_initiator: r.get()?,
+                bytes: Payload::from(r.bytes()?),
+            },
+            4 => Ev::TcpClose {
+                conn: r.get()?,
+                to_initiator: r.get()?,
+            },
+            5 => Ev::Timer {
+                host: r.get()?,
+                token: r.get()?,
+            },
+            6 => Ev::StartHost { host: r.get()? },
+            7 => Ev::StopHost { host: r.get()? },
+            8 => Ev::SetReachable {
+                host: r.get()?,
+                reachable: r.get()?,
+            },
+            _ => return Err(SnapError::Corrupt("event tag out of range")),
+        })
+    }
 }
 
 #[cfg(test)]
@@ -2069,95 +2018,92 @@ mod tests {
         }
     }
 
+    /// Two hosts ping-pong UDP on jittered timers (exercising the
+    /// per-host RNG streams, NAT tables, and the loss coin), with a
+    /// counter in behaviour state.
+    struct Ticker {
+        log: Log,
+        name: &'static str,
+        count: u32,
+        peer: HostAddr,
+    }
+
+    impl Ticker {
+        fn logit(&self, s: String) {
+            self.log.borrow_mut().push(format!("{} {}", self.name, s));
+        }
+    }
+
+    impl Host for Ticker {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            ctx.set_timer(100, 1);
+        }
+        fn on_udp(&mut self, ctx: &mut Ctx, from: HostAddr, datagram: &[u8]) {
+            self.logit(format!(
+                "udp@{} from {} len={}",
+                ctx.now_ms,
+                from,
+                datagram.len()
+            ));
+        }
+        fn on_tcp(&mut self, _ctx: &mut Ctx, _event: TcpEvent) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+            self.count += 1;
+            self.logit(format!("tick@{} n={}", ctx.now_ms, self.count));
+            ctx.send_udp(self.peer, vec![0u8; self.count as usize % 7 + 1]);
+            let gap = 90 + ctx.rng().gen_range(0..20) as u64;
+            ctx.set_timer(gap, 1);
+        }
+        fn save_state(&self) -> Option<Vec<u8>> {
+            let mut w = SnapWriter::new();
+            w.put(&self.count);
+            Some(w.finish())
+        }
+        fn load_state(&mut self, bytes: &[u8], _conn_slots: usize) -> Result<(), SnapError> {
+            let mut r = SnapReader::new(bytes);
+            let count = r.get()?;
+            r.finish()?;
+            self.count = count;
+            Ok(())
+        }
+        fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
+            self
+        }
+    }
+
+    /// A two-ticker world, not yet run. Default config: jitter and UDP
+    /// loss on, so RNG streams are consulted on every delivery.
+    fn ticker_world(log: &Log) -> NetSim {
+        let mut sim = NetSim::new(SimConfig::default());
+        for (name, me, peer) in [("a", 1, 2), ("b", 2, 1)] {
+            let t = Ticker {
+                log: log.clone(),
+                name,
+                count: 0,
+                peer: addr(peer),
+            };
+            let h = sim.add_host(addr(me), meta(true), Box::new(t));
+            sim.schedule_start(h, 0);
+        }
+        sim
+    }
+
     #[test]
     fn snapshot_restore_resumes_identically() {
-        // Two hosts ping-pong UDP on jittered timers (exercising the
-        // per-host RNG streams, NAT tables, and the loss coin), with a
-        // counter in behaviour state. Running to T, snapshotting,
-        // restoring into a fresh shell, and resuming to 2T must replay
-        // exactly what an uninterrupted run to 2T does.
-        struct Ticker {
-            log: Log,
-            name: &'static str,
-            count: u32,
-            peer: HostAddr,
-        }
-        impl Ticker {
-            fn logit(&self, s: String) {
-                self.log.borrow_mut().push(format!("{} {}", self.name, s));
-            }
-        }
-        impl Host for Ticker {
-            fn on_start(&mut self, ctx: &mut Ctx) {
-                ctx.set_timer(100, 1);
-            }
-            fn on_udp(&mut self, ctx: &mut Ctx, from: HostAddr, datagram: &[u8]) {
-                self.logit(format!(
-                    "udp@{} from {} len={}",
-                    ctx.now_ms,
-                    from,
-                    datagram.len()
-                ));
-            }
-            fn on_tcp(&mut self, _ctx: &mut Ctx, _event: TcpEvent) {}
-            fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
-                self.count += 1;
-                self.logit(format!("tick@{} n={}", ctx.now_ms, self.count));
-                ctx.send_udp(self.peer, vec![0u8; self.count as usize % 7 + 1]);
-                let gap = 90 + ctx.rng().gen_range(0..20) as u64;
-                ctx.set_timer(gap, 1);
-            }
-            fn save_state(&self) -> Option<Vec<u8>> {
-                let mut w = SnapWriter::new();
-                w.u32(self.count);
-                Some(w.finish())
-            }
-            fn load_state(&mut self, bytes: &[u8]) -> bool {
-                let mut r = SnapReader::new(bytes);
-                let Ok(count) = r.u32() else { return false };
-                self.count = count;
-                r.finish().is_ok()
-            }
-            fn into_any(self: Box<Self>) -> Box<dyn std::any::Any> {
-                self
-            }
-        }
-
-        let build = |log: &Log| -> NetSim {
-            // Default config: jitter and UDP loss on, so RNG streams are
-            // consulted on every delivery.
-            let mut sim = NetSim::new(SimConfig::default());
-            let a = Ticker {
-                log: log.clone(),
-                name: "a",
-                count: 0,
-                peer: addr(2),
-            };
-            let b = Ticker {
-                log: log.clone(),
-                name: "b",
-                count: 0,
-                peer: addr(1),
-            };
-            let ha = sim.add_host(addr(1), meta(true), Box::new(a));
-            let hb = sim.add_host(addr(2), meta(true), Box::new(b));
-            sim.schedule_start(ha, 0);
-            sim.schedule_start(hb, 0);
-            sim
-        };
-
-        // Uninterrupted reference run to 2T.
+        // Running to T, snapshotting, restoring into a fresh shell, and
+        // resuming to 2T must replay exactly what an uninterrupted run to
+        // 2T does.
         let full_log: Log = Rc::default();
-        let mut full = build(&full_log);
+        let mut full = ticker_world(&full_log);
         full.run_until(10_000);
 
         // Run to T, snapshot, restore into a fresh shell, resume to 2T.
         let first_log: Log = Rc::default();
-        let mut first = build(&first_log);
+        let mut first = ticker_world(&first_log);
         first.run_until(5_000);
         let snap = first.snapshot().expect("snapshot");
         let resumed_log: Log = Rc::default();
-        let mut resumed = build(&resumed_log);
+        let mut resumed = ticker_world(&resumed_log);
         resumed.restore(&snap).expect("restore");
         resumed.run_until(10_000);
 
@@ -2173,6 +2119,53 @@ mod tests {
             resumed.snapshot().expect("resnap"),
             full.snapshot().expect("resnap")
         );
+    }
+
+    /// A ticker world run to 5 s and its snapshot.
+    fn ticker_image() -> Vec<u8> {
+        let mut sim = ticker_world(&Rc::default());
+        sim.run_until(5_000);
+        sim.snapshot().expect("snapshot")
+    }
+
+    #[test]
+    fn corrupt_conn_count_is_an_error_not_a_panic() {
+        let mut image = ticker_image();
+        // Locate the connection-slab count: it follows the clock,
+        // counters and fault schedule.
+        let at = {
+            let mut r = SnapReader::with_header(&image, SNAP_MAGIC, SNAP_VERSION).unwrap();
+            r.get::<(u64, u32, u64, u64, u64)>().unwrap();
+            r.get::<(TcpCounters, u64, FaultSchedule)>().unwrap();
+            image.len() - r.remaining()
+        };
+        assert_eq!(
+            image[at..at + 8],
+            0u64.to_le_bytes(),
+            "no conns in this world"
+        );
+        for count in [1u64 << 32, 1 << 62, 1 << 63, u64::MAX] {
+            image[at..at + 8].copy_from_slice(&count.to_le_bytes());
+            let mut shell = ticker_world(&Rc::default());
+            assert!(shell.restore(&image).is_err(), "count {count} accepted");
+        }
+    }
+
+    #[test]
+    fn rejected_image_leaves_the_shell_untouched() {
+        let image = ticker_image();
+        let mut shell = ticker_world(&Rc::default());
+        let before = shell.snapshot().expect("shell snapshot");
+        // Cut inside the last shard's pending-event list: every section
+        // before it — counters, slab, hosts — decodes cleanly first.
+        let truncated = &image[..image.len() - 3];
+        assert!(shell.restore(truncated).is_err());
+        assert_eq!(shell.snapshot().expect("shell snapshot"), before);
+        // The shell is still a shell: the intact image restores into it.
+        shell
+            .restore(&image)
+            .expect("restore after a rejected image");
+        assert_eq!(shell.snapshot().expect("resnap"), image);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 
 use crate::engine::{HostAddr, HostId, NetSim};
 use crate::payload::Payload;
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -265,6 +266,78 @@ impl Scenario {
         for flap in &self.nat_flaps {
             sim.nat_flap(flap.host, flap.from_ms, flap.period_ms, flap.flaps);
         }
+    }
+}
+
+/// Snapshot image: tag 0 `Any`, 1 `Host`, 2 `Pair`, then the addresses.
+impl Snap for LinkSelector {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            LinkSelector::Any => w.put(&0u8),
+            LinkSelector::Host(a) => w.put(&(1u8, *a)),
+            LinkSelector::Pair(a, b) => w.put(&(2u8, *a, *b)),
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<LinkSelector, SnapError> {
+        Ok(match r.get::<u8>()? {
+            0 => LinkSelector::Any,
+            1 => LinkSelector::Host(r.get()?),
+            2 => LinkSelector::Pair(r.get()?, r.get()?),
+            _ => return Err(SnapError::Corrupt("link selector tag out of range")),
+        })
+    }
+}
+
+/// Snapshot image: one tag byte in declaration order, then the payload.
+impl Snap for Fault {
+    fn put(&self, w: &mut SnapWriter) {
+        match *self {
+            Fault::UdpLoss(p) => w.put(&(0u8, p)),
+            Fault::LatencySpike(ms) => w.put(&(1u8, ms)),
+            Fault::Blackhole => w.put(&2u8),
+            Fault::TcpReset => w.put(&3u8),
+            Fault::TcpTruncate(limit) => w.put(&(4u8, limit)),
+            Fault::TcpCorrupt => w.put(&5u8),
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Fault, SnapError> {
+        Ok(match r.get::<u8>()? {
+            0 => Fault::UdpLoss(r.get()?),
+            1 => Fault::LatencySpike(r.get()?),
+            2 => Fault::Blackhole,
+            3 => Fault::TcpReset,
+            4 => Fault::TcpTruncate(r.get()?),
+            5 => Fault::TcpCorrupt,
+            _ => return Err(SnapError::Corrupt("fault tag out of range")),
+        })
+    }
+}
+
+/// Snapshot image: link, window bounds, fault.
+impl Snap for FaultWindow {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(self.link, self.from_ms, self.until_ms, self.fault));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<FaultWindow, SnapError> {
+        let (link, from_ms, until_ms, fault) = r.get()?;
+        Ok(FaultWindow {
+            link,
+            from_ms,
+            until_ms,
+            fault,
+        })
+    }
+}
+
+/// Snapshot image: the windows in insertion order. Windows can be
+/// installed mid-run via `add_fault`, so the schedule is state, not
+/// rebuildable configuration.
+impl Snap for FaultSchedule {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.windows);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<FaultSchedule, SnapError> {
+        Ok(FaultSchedule { windows: r.get()? })
     }
 }
 

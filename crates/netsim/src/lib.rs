@@ -29,13 +29,15 @@ mod engine;
 pub mod faults;
 pub mod payload;
 pub mod sched;
-pub mod snap;
 mod topology;
 
-pub use engine::{ConnId, Ctx, Host, HostAddr, HostId, NetSim, SimConfig, TcpCounters, TcpEvent};
+pub use engine::{
+    ConnId, Ctx, Host, HostAddr, HostId, NetSim, SimConfig, TcpCounters, TcpEvent, SNAP_MAGIC,
+    SNAP_VERSION,
+};
 pub use faults::{ChurnBurst, Fault, FaultSchedule, FaultWindow, LinkSelector, NatFlap, Scenario};
+pub use obs::snap::{SnapError, SnapReader, SnapWriter};
 pub use payload::Payload;
-pub use snap::{SnapError, SnapReader, SnapWriter, SNAP_MAGIC, SNAP_VERSION};
 pub use topology::{
     latency_between, min_link_latency_ms, HostMeta, Region, COUNTRIES, REGION_OF_COUNTRY,
 };

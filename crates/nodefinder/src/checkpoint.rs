@@ -9,12 +9,12 @@
 //! discovery service, every pipeline queue and table, the live probe
 //! sessions, the per-stage checkpoints, and the accumulated crawl log.
 //!
-//! Field order (all inside one versioned `SnapWriter` section):
+//! Field order (all inside one versioned `obs::snap` section):
 //!
 //! 1. intern table — `NodeId`s in compact-id order, so re-interning
 //!    reproduces identical `CompactId`s and every dense table below can
 //!    be restored by index;
-//! 2. discovery (`Discv4State` behind its endpoint);
+//! 2. discovery (`Discv4::write_state`, endpoint first);
 //! 3. the bounded dial queue (records front-to-back + marks);
 //! 4. the queued-id set;
 //! 5. static nodes, in full-`NodeId` order;
@@ -31,16 +31,15 @@
 //! wheel, and restoring it re-delivers `T_*` tokens at the right instants.
 
 use crate::crawler::{NodeFinder, StaticEntry};
-use crate::dense::{IdSet, OrderedDenseMap, SeenTable};
+use crate::dense::{IdSet, OrderedDenseMap, SeenTable, CONN_IDX_MASK};
 use crate::log::{ConnLog, ConnType, CrawlLog};
 use crate::session::{Probe, SessionManager};
-use crate::stages::{BoundedQueue, PipelineStats, Stage};
+use crate::stages::{BoundedQueue, Stage};
 use discv4::{Config as DiscConfig, Discv4};
-use enode::{CompactId, Interner};
-use ethpop::state;
+use enode::{CompactId, Interner, NodeId};
 use ethpop::wire::PeerConn;
 use kad::Metric;
-use netsim::snap::{SnapError, SnapReader, SnapWriter};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 const SNAP_MAGIC: [u8; 4] = *b"NFND";
 const SNAP_VERSION: u8 = 1;
@@ -51,78 +50,42 @@ impl NodeFinder {
     pub(crate) fn encode_state(&self) -> Vec<u8> {
         let mut w = SnapWriter::with_header(SNAP_MAGIC, SNAP_VERSION);
         // 1. Intern table, in compact-id order.
-        w.usize(self.interner.len());
-        for i in 0..self.interner.len() {
-            state::w_node_id(&mut w, self.interner.resolve(CompactId::from_u32(i as u32)));
-        }
+        let n = self.interner.len();
+        w.put_seq((0..n).map(|i| self.interner.resolve(CompactId::from_u32(i as u32))));
         // 2. Discovery.
-        w.bool(self.disc.is_some());
+        w.put(&self.disc.is_some());
         if let Some(disc) = &self.disc {
-            state::w_endpoint(&mut w, &disc.endpoint());
-            state::w_discv4(&mut w, &disc.to_state());
+            disc.write_state(&mut w);
         }
         // 3. Dial queue (items front to back, then the marks).
-        w.usize(self.dial_queue.len());
-        for rec in self.dial_queue.iter() {
-            state::w_record(&mut w, rec);
-        }
-        w.usize(self.dial_queue.high_water());
-        w.u64(self.dial_queue.rejected());
+        w.put_seq(self.dial_queue.iter());
+        w.put(&(self.dial_queue.high_water(), self.dial_queue.rejected()));
         // 4. Queued-id set.
-        let bits = self.queued.bits();
-        w.usize(bits.len());
-        for b in bits {
-            w.bool(*b);
-        }
+        w.put_seq(self.queued.bits());
         // 5. Static nodes, in full-NodeId order (restore re-sorts
         // identically because the order is a function of the ids).
-        w.usize(self.static_nodes.len());
-        for (_, e) in self.static_nodes.iter_ordered() {
-            state::w_record(&mut w, &e.record);
-            w.u64(e.next_dial_ms);
-            w.u64(e.last_success_ms);
-        }
+        w.put_seq(self.static_nodes.iter_ordered().map(|(_, e)| e));
         // 6. Seen stamps (dense by compact id).
-        let stamps = self.seen.stamps();
-        w.usize(stamps.len());
-        for s in stamps {
-            w.u64(*s);
-        }
+        w.put_seq(self.seen.stamps());
         // 7. Penalty box.
-        let entries = self.sessions.penalty.export_entries();
-        w.usize(entries.len());
-        for (rec, failures, next_allowed_ms, boxed) in &entries {
-            state::w_record(&mut w, rec);
-            w.u32(*failures);
-            w.u64(*next_allowed_ms);
-            w.bool(*boxed);
-        }
-        w.u64(self.sessions.penalty.boxed_total());
+        w.put(&self.sessions.penalty.export_entries());
+        w.put(&self.sessions.penalty.boxed_total());
         // 8. Session manager: counters, then live probes in ConnId order.
-        w.usize(self.sessions.dialing());
-        w.u64(self.sessions.dialing_underflows());
+        w.put(&(self.sessions.dialing(), self.sessions.dialing_underflows()));
         let ids = self.sessions.conns.ids_sorted();
-        w.usize(ids.len());
+        w.put(&ids.len());
         for conn in ids {
             let p = self.sessions.conns.get(conn).expect("sorted id is live");
-            p.pc.encode_into(&mut w);
-            w.u8(match p.conn_type {
-                ConnType::DynamicDial => 0,
-                ConnType::StaticDial => 1,
-                ConnType::Incoming => 2,
-            });
+            p.pc.write_state(&mut w);
+            w.put(&p.conn_type);
             // serde_json output is deterministic (struct field order), so
             // the in-progress log entry can ride along as a JSON string.
             w.str(&serde_json::to_string(&p.record).expect("conn log serializes"));
-            w.bool(p.awaiting_dao);
-            w.bool(p.done);
-            w.bool(p.connected);
-            w.u64(p.deadline_ms);
-            w.u64(p.stage_start_ms);
+            w.put(&(p.awaiting_dao, p.done, p.connected));
+            w.put(&(p.deadline_ms, p.stage_start_ms));
         }
         // 9. Scheduler arm flags (their timers live in the netsim wheel).
-        w.bool(self.poll_armed);
-        w.bool(self.dial_armed);
+        w.put(&(self.poll_armed, self.dial_armed));
         // 10. Pipeline stage checkpoints, with the dial queue's live
         // marks folded in.
         let mut stages = self.stages.clone();
@@ -131,125 +94,75 @@ impl NodeFinder {
             self.dial_queue.len(),
             self.dial_queue.high_water(),
         );
-        stages.encode_into(&mut w);
+        w.put(&stages);
         // 11. The accumulated crawl log.
         w.str(&self.log.to_jsonl());
         w.finish()
     }
 
     /// Overwrite this (shell-rebuilt) crawler's dynamic state from
-    /// [`NodeFinder::encode_state`] output.
-    pub(crate) fn apply_state(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
+    /// [`NodeFinder::encode_state`] output. Everything is decoded into
+    /// fresh values before anything is assigned, so a rejected image
+    /// leaves the crawler as it was. Probes index the dense probe table
+    /// by connection slot, so each must name a distinct slot below the
+    /// engine's `conn_slots`.
+    pub(crate) fn apply_state(&mut self, bytes: &[u8], conn_slots: usize) -> Result<(), SnapError> {
         let mut r = SnapReader::with_header(bytes, SNAP_MAGIC, SNAP_VERSION)?;
         // 1. Intern table: re-interning in stored order reproduces the
         // exact compact ids every dense table below is keyed by.
-        let n = r.usize()?;
         let mut interner = Interner::new();
-        for _ in 0..n {
-            let id = state::r_node_id(&mut r)?;
+        for id in r.get::<Vec<NodeId>>()? {
             interner.intern(&id);
         }
-        self.interner = interner;
         // 2. Discovery (same config as `on_start` builds).
-        self.disc = if r.bool()? {
-            let endpoint = state::r_endpoint(&mut r)?;
-            let disc_state = state::r_discv4(&mut r)?;
-            Some(Discv4::from_state(
-                self.key,
-                endpoint,
-                DiscConfig {
-                    metric: Metric::GethLog2,
-                    ..DiscConfig::default()
-                },
-                disc_state,
-            ))
+        let disc = if r.get()? {
+            let config = DiscConfig {
+                metric: Metric::GethLog2,
+                ..DiscConfig::default()
+            };
+            Some(Discv4::read_state(self.key, config, &mut r)?)
         } else {
             None
         };
         // 3. Dial queue.
-        let n = r.usize()?;
-        let mut items = Vec::with_capacity(n.min(4_096));
-        for _ in 0..n {
-            items.push(state::r_record(&mut r)?);
-        }
-        let high_water = r.usize()?;
-        let rejected = r.u64()?;
-        self.dial_queue =
+        let items = r.get()?;
+        let (high_water, rejected) = r.get()?;
+        let dial_queue =
             BoundedQueue::from_parts(self.config.dial_queue_cap, items, high_water, rejected);
         // 4. Queued-id set.
-        let n = r.usize()?;
-        let mut bits = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            bits.push(r.bool()?);
-        }
-        self.queued = IdSet::from_bits(bits);
+        let queued = IdSet::from_bits(r.get()?);
         // 5. Static nodes.
-        let n = r.usize()?;
         let mut static_nodes = OrderedDenseMap::new();
-        for _ in 0..n {
-            let record = state::r_record(&mut r)?;
-            let next_dial_ms = r.u64()?;
-            let last_success_ms = r.u64()?;
-            let cid = self.interner.intern(&record.id);
-            static_nodes.insert(
-                cid,
-                StaticEntry {
-                    record,
-                    next_dial_ms,
-                    last_success_ms,
-                },
-            );
+        for e in r.get::<Vec<StaticEntry>>()? {
+            static_nodes.insert(interner.intern(&e.record.id), e);
         }
-        self.static_nodes = static_nodes;
         // 6. Seen stamps.
-        let n = r.usize()?;
-        let mut stamps = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            stamps.push(r.u64()?);
-        }
-        self.seen = SeenTable::from_stamps(stamps);
+        let seen = SeenTable::from_stamps(r.get()?);
         // 7. Penalty box, into a fresh session manager.
         let mut sessions = SessionManager::new(
             self.config.backoff.clone(),
             self.config.penalty_threshold,
             self.config.penalty_box_ms,
         );
-        let n = r.usize()?;
-        let mut entries = Vec::with_capacity(n.min(4_096));
-        for _ in 0..n {
-            let rec = state::r_record(&mut r)?;
-            let failures = r.u32()?;
-            let next_allowed_ms = r.u64()?;
-            let boxed = r.bool()?;
-            entries.push((rec, failures, next_allowed_ms, boxed));
-        }
-        let boxed_total = r.u64()?;
+        let entries = r.get()?;
         sessions
             .penalty
-            .import_entries(&mut self.interner, entries, boxed_total);
+            .import_entries(&mut interner, entries, r.get()?);
         // 8. Session counters + live probes.
-        let dialing = r.usize()?;
-        let underflows = r.u64()?;
+        let (dialing, underflows) = r.get()?;
         sessions.restore_counters(dialing, underflows);
-        let n = r.usize()?;
-        for _ in 0..n {
-            let pc = PeerConn::decode_from(&mut r, &self.key)?;
-            let conn_type = match r.u8()? {
-                0 => ConnType::DynamicDial,
-                1 => ConnType::StaticDial,
-                2 => ConnType::Incoming,
-                _ => return Err(SnapError::Corrupt("probe conn-type tag out of range")),
-            };
+        for _ in 0..r.count()? {
+            let pc = PeerConn::read_state(&mut r, &self.key)?;
+            if pc.conn & CONN_IDX_MASK >= conn_slots || sessions.conns.slot_taken(pc.conn) {
+                return Err(SnapError::Corrupt("probe conn outside the engine's slab"));
+            }
+            let conn_type = r.get()?;
             let record: ConnLog = serde_json::from_str(r.str()?)
                 .map_err(|_| SnapError::Corrupt("probe conn log does not parse"))?;
-            let awaiting_dao = r.bool()?;
-            let done = r.bool()?;
-            let connected = r.bool()?;
-            let deadline_ms = r.u64()?;
-            let stage_start_ms = r.u64()?;
-            let conn = pc.conn;
+            let (awaiting_dao, done, connected) = r.get()?;
+            let (deadline_ms, stage_start_ms) = r.get()?;
             sessions.conns.insert(
-                conn,
+                pc.conn,
                 Probe {
                     pc,
                     conn_type,
@@ -262,16 +175,57 @@ impl NodeFinder {
                 },
             );
         }
-        self.sessions = sessions;
         // 9. Scheduler arm flags.
-        self.poll_armed = r.bool()?;
-        self.dial_armed = r.bool()?;
+        let (poll_armed, dial_armed) = r.get()?;
         // 10. Pipeline stage checkpoints.
-        self.stages = PipelineStats::decode_from(&mut r)?;
+        let stages = r.get()?;
         // 11. Crawl log.
-        self.log = CrawlLog::from_jsonl(r.str()?)
+        let log = CrawlLog::from_jsonl(r.str()?)
             .map_err(|_| SnapError::Corrupt("crawl log does not parse"))?;
-        r.finish()
+        r.finish()?;
+
+        self.interner = interner;
+        self.disc = disc;
+        self.dial_queue = dial_queue;
+        self.queued = queued;
+        self.static_nodes = static_nodes;
+        self.seen = seen;
+        self.sessions = sessions;
+        self.poll_armed = poll_armed;
+        self.dial_armed = dial_armed;
+        self.stages = stages;
+        self.log = log;
+        Ok(())
+    }
+}
+
+/// Snapshot image: record, next dial, last success.
+impl Snap for StaticEntry {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(self.record, self.next_dial_ms, self.last_success_ms));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<StaticEntry, SnapError> {
+        let (record, next_dial_ms, last_success_ms) = r.get()?;
+        Ok(StaticEntry {
+            record,
+            next_dial_ms,
+            last_success_ms,
+        })
+    }
+}
+
+/// Snapshot image: one tag byte in declaration order.
+impl Snap for ConnType {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(*self as u8));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<ConnType, SnapError> {
+        Ok(match r.get::<u8>()? {
+            0 => ConnType::DynamicDial,
+            1 => ConnType::StaticDial,
+            2 => ConnType::Incoming,
+            _ => return Err(SnapError::Corrupt("probe conn-type tag out of range")),
+        })
     }
 }
 
@@ -332,7 +286,7 @@ mod tests {
         nf.stages.note_entered(Stage::Discover);
         nf.stages.note_completed(Stage::Discover);
         nf.stages.note_entered(Stage::Dial);
-        nf.log.conns.push(ConnLog {
+        let conn_log = ConnLog {
             instance: 0,
             ts_ms: 42,
             node_id: Some(rec(9).id),
@@ -346,7 +300,30 @@ mod tests {
             dao_fork: None,
             outcome: ConnOutcome::DialFailed,
             failure: None,
-        });
+        };
+        nf.log.conns.push(conn_log.clone());
+        // A live probe on connection slot 3 (generation 1).
+        let conn = (1 << 32) | 3;
+        let hello = devp2p::Hello {
+            p2p_version: devp2p::P2P_VERSION,
+            client_id: "NodeFinder/test".into(),
+            capabilities: vec![],
+            listen_port: 30303,
+            node_id: nf.node_id(),
+        };
+        nf.sessions.conns.insert(
+            conn,
+            Probe {
+                pc: PeerConn::dialing(conn, rec(9).id, hello, 40),
+                conn_type: ConnType::DynamicDial,
+                record: conn_log,
+                awaiting_dao: false,
+                done: false,
+                connected: false,
+                deadline_ms: 30_040,
+                stage_start_ms: 40,
+            },
+        );
         nf.log.events.push(DialEvent {
             instance: 0,
             ts_ms: 41,
@@ -358,7 +335,7 @@ mod tests {
 
         let snap = nf.encode_state();
         let mut restored = crawler();
-        restored.apply_state(&snap).expect("snapshot applies");
+        restored.apply_state(&snap, 4).expect("snapshot applies");
         assert_eq!(
             restored.encode_state(),
             snap,
@@ -376,6 +353,15 @@ mod tests {
             restored.stage_checkpoint(Stage::Discover).entered,
             nf.stage_checkpoint(Stage::Discover).entered
         );
+        assert!(restored.sessions.conns.contains(conn));
+
+        // A probe on a connection slot the engine does not have is
+        // corrupt (it would size the dense probe table), and the rejected
+        // image leaves the shell exactly as it was.
+        let mut shell = crawler();
+        let before = shell.encode_state();
+        assert!(shell.apply_state(&snap, 3).is_err());
+        assert_eq!(shell.encode_state(), before);
     }
 
     #[test]
@@ -385,9 +371,12 @@ mod tests {
         let last = snap.len() - 1;
         snap.truncate(last);
         let mut fresh = crawler();
-        assert!(fresh.apply_state(&snap).is_err(), "truncated image fails");
+        assert!(
+            fresh.apply_state(&snap, 0).is_err(),
+            "truncated image fails"
+        );
         let mut bad_magic = nf.encode_state();
         bad_magic[0] ^= 0xFF;
-        assert!(fresh.apply_state(&bad_magic).is_err(), "bad magic fails");
+        assert!(fresh.apply_state(&bad_magic, 0).is_err(), "bad magic fails");
     }
 }

@@ -26,7 +26,7 @@ use ethwire::{
     BlockId, Chain, ChainConfig, EthMessage, Status, DAO_FORK_BLOCK, DAO_FORK_EXTRA, SNAPSHOT_HEAD,
 };
 use kad::Metric;
-use netsim::{ConnId, Ctx, Host, HostAddr, TcpEvent};
+use netsim::{ConnId, Ctx, Host, HostAddr, SnapError, TcpEvent};
 use rand::Rng;
 
 pub(crate) const T_LOOKUP: u64 = 1;
@@ -1142,7 +1142,7 @@ impl Host for NodeFinder {
         Some(self.encode_state())
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> bool {
-        self.apply_state(bytes).is_ok()
+    fn load_state(&mut self, bytes: &[u8], conn_slots: usize) -> Result<(), SnapError> {
+        self.apply_state(bytes, conn_slots)
     }
 }

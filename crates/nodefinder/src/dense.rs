@@ -235,7 +235,7 @@ impl<V: KeyedById> OrderedDenseMap<V> {
 
     /// Iterate `(cid, value)` in **NodeId order** — byte-identical to the
     /// `BTreeMap<NodeId, V>` iteration it replaces.
-    pub fn iter_ordered(&self) -> impl Iterator<Item = (CompactId, &V)> {
+    pub fn iter_ordered(&self) -> impl ExactSizeIterator<Item = (CompactId, &V)> {
         self.order.iter().map(move |&c| {
             let cid = CompactId::from_u32(c);
             (cid, self.map.get(cid).expect("ordered cid is live"))
@@ -384,7 +384,7 @@ impl IdSet {
 
 /// How netsim packs a [`ConnId`]: low 32 bits are the slab index (recycled
 /// across connections), high bits the generation.
-const CONN_IDX_MASK: usize = (1 << 32) - 1;
+pub(crate) const CONN_IDX_MASK: usize = (1 << 32) - 1;
 
 /// Generation-checked slab keyed by netsim's packed [`ConnId`] — the
 /// crawler's live-probe table. A cell holds the *full* ConnId it was
@@ -440,6 +440,13 @@ impl<V> ConnTable<V> {
             Some((stored, v)) if *stored == conn => Some(v),
             _ => None,
         }
+    }
+
+    /// Whether `conn`'s cell holds an entry of any generation.
+    pub fn slot_taken(&self, conn: ConnId) -> bool {
+        self.cells
+            .get(conn & CONN_IDX_MASK)
+            .is_some_and(Option::is_some)
     }
 
     /// Insert the probe for `conn`. The cell must be vacant: netsim only

@@ -21,7 +21,7 @@
 //! is deterministic and shard-count-invariant like every other crawler
 //! observable.
 
-use netsim::snap::{SnapError, SnapReader, SnapWriter};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::VecDeque;
 
 /// One stage of the crawl pipeline, in funnel order.
@@ -174,7 +174,7 @@ impl<T> BoundedQueue<T> {
     }
 
     /// Iterate queued items front to back, for checkpointing.
-    pub fn iter(&self) -> impl Iterator<Item = &T> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &T> {
         self.items.iter()
     }
 
@@ -212,24 +212,19 @@ pub struct StageCheckpoint {
     pub queue_high_water: usize,
 }
 
-impl StageCheckpoint {
-    /// Append this checkpoint to an in-progress snapshot.
-    pub fn encode_into(&self, w: &mut SnapWriter) {
-        w.u64(self.entered);
-        w.u64(self.completed);
-        w.u64(self.backpressure);
-        w.usize(self.queue_depth);
-        w.usize(self.queue_high_water);
+/// Snapshot image: the fields in declaration order.
+impl Snap for StageCheckpoint {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(self.entered, self.completed, self.backpressure));
+        w.put(&(self.queue_depth, self.queue_high_water));
     }
-
-    /// Read a checkpoint written by [`StageCheckpoint::encode_into`].
-    pub fn decode_from(r: &mut SnapReader<'_>) -> Result<StageCheckpoint, SnapError> {
+    fn get(r: &mut SnapReader<'_>) -> Result<StageCheckpoint, SnapError> {
         Ok(StageCheckpoint {
-            entered: r.u64()?,
-            completed: r.u64()?,
-            backpressure: r.u64()?,
-            queue_depth: r.usize()?,
-            queue_high_water: r.usize()?,
+            entered: r.get()?,
+            completed: r.get()?,
+            backpressure: r.get()?,
+            queue_depth: r.get()?,
+            queue_high_water: r.get()?,
         })
     }
 }
@@ -281,19 +276,19 @@ impl PipelineStats {
         s.queue_depth = depth;
         s.queue_high_water = high_water;
     }
+}
 
-    /// Append all five stage checkpoints, in funnel order.
-    pub fn encode_into(&self, w: &mut SnapWriter) {
+/// Snapshot image: the five stage checkpoints in funnel order, no count.
+impl Snap for PipelineStats {
+    fn put(&self, w: &mut SnapWriter) {
         for s in &self.stages {
-            s.encode_into(w);
+            w.put(s);
         }
     }
-
-    /// Read stats written by [`PipelineStats::encode_into`].
-    pub fn decode_from(r: &mut SnapReader<'_>) -> Result<PipelineStats, SnapError> {
+    fn get(r: &mut SnapReader<'_>) -> Result<PipelineStats, SnapError> {
         let mut stages = [StageCheckpoint::default(); 5];
-        for s in stages.iter_mut() {
-            *s = StageCheckpoint::decode_from(r)?;
+        for s in &mut stages {
+            *s = r.get()?;
         }
         Ok(PipelineStats { stages })
     }
@@ -367,10 +362,10 @@ mod tests {
         stats.set_queue(Stage::Dial, 5, 9);
 
         let mut w = SnapWriter::new();
-        stats.encode_into(&mut w);
+        w.put(&stats);
         let buf = w.finish();
         let mut r = SnapReader::new(&buf);
-        let back = PipelineStats::decode_from(&mut r).unwrap();
+        let back: PipelineStats = r.get().unwrap();
         r.finish().unwrap();
         for st in STAGES {
             assert_eq!(back.checkpoint(st), stats.checkpoint(st), "{}", st.label());

@@ -13,6 +13,11 @@
 //!   snapshot, plus a [`TraceQuery`] API so tests can assert on spans
 //!   ("p99 HELLO latency under burst loss") instead of only end-state.
 //!
+//! It also hosts [`snap`], the checkpoint byte codec every layer writes
+//! its snapshot sections with (here because every layer already links
+//! `obs`), and the recorder's own `OBSS` image
+//! ([`Recorder::snapshot_state`]).
+//!
 //! ## Sim-time stamping rule
 //!
 //! Events are stamped with the timestamp last supplied via [`set_now`] —
@@ -47,16 +52,22 @@
 mod metrics;
 pub mod profile;
 mod query;
-mod snapshot;
+pub mod snap;
 mod trace;
 
 pub use metrics::{Histogram, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_MS};
 pub use query::TraceQuery;
-pub use snapshot::{OBS_SNAP_MAGIC, OBS_SNAP_VERSION};
 pub use trace::{EventKind, FlightRecorder, TraceEvent, Value};
 
+use snap::{SnapError, SnapReader, SnapWriter};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Magic prefixing a recorder snapshot.
+pub const OBS_SNAP_MAGIC: [u8; 4] = *b"OBSS";
+
+/// Current recorder snapshot format version.
+pub const OBS_SNAP_VERSION: u8 = 1;
 
 /// Default flight-recorder capacity (events retained before dropping).
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
@@ -363,16 +374,12 @@ impl Recorder {
     pub fn snapshot_state(&self) -> Vec<u8> {
         let mut core = self.core.borrow_mut();
         core.flush_fast();
-        let events: Vec<&TraceEvent> = core.ring.iter().collect();
-        let by_kind: Vec<(&str, u64)> = core.ring.dropped_by_kind().collect();
-        snapshot::encode_parts(
-            core.now_ms,
-            core.seq,
-            &core.metrics,
-            &events,
-            core.ring.dropped(),
-            &by_kind,
-        )
+        let mut w = SnapWriter::with_header(OBS_SNAP_MAGIC, OBS_SNAP_VERSION);
+        w.put(&core.now_ms);
+        w.put(&core.seq);
+        w.put(&core.metrics);
+        core.ring.write_state(&mut w);
+        w.finish()
     }
 
     /// Restore state captured by [`Recorder::snapshot_state`],
@@ -381,26 +388,20 @@ impl Recorder {
     /// configured capacity; a snapshot retaining more events than this
     /// recorder can hold is rejected (capacity is configuration, and a
     /// mismatched shell would silently re-drop events and skew the
-    /// eviction counters).
-    pub fn restore_state(&self, bytes: &[u8]) -> Result<(), String> {
-        let image = snapshot::decode(bytes)?;
+    /// eviction counters). The whole image is decoded before anything
+    /// is assigned, so a rejected image leaves the recorder untouched.
+    pub fn restore_state(&self, bytes: &[u8]) -> Result<(), SnapError> {
+        let mut r = SnapReader::with_header(bytes, OBS_SNAP_MAGIC, OBS_SNAP_VERSION)?;
+        let now_ms = r.get()?;
+        let seq = r.get()?;
+        let metrics = r.get()?;
         let mut core = self.core.borrow_mut();
-        if image.events.len() > core.ring.capacity() {
-            return Err(format!(
-                "snapshot retains {} events but the ring capacity is {}",
-                image.events.len(),
-                core.ring.capacity()
-            ));
-        }
-        core.metrics = image.metrics;
-        core.ring.clear();
-        for ev in image.events {
-            core.ring.push(ev);
-        }
-        core.ring
-            .restore_drops(image.dropped, image.dropped_by_kind);
-        core.seq = image.seq;
-        core.now_ms = image.now_ms;
+        let ring = FlightRecorder::read_state(core.ring.capacity(), &mut r)?;
+        r.finish()?;
+        core.metrics = metrics;
+        core.ring = ring;
+        core.seq = seq;
+        core.now_ms = now_ms;
         core.fast_counters.fill(0);
         core.fast_gauge_hw.fill(0);
         core.cur_key = 0;

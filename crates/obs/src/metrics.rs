@@ -2,6 +2,7 @@
 //! `BTreeMap`-backed so every iteration order (and thus every exporter
 //! byte) is deterministic.
 
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use std::collections::BTreeMap;
 
 /// Default bucket upper bounds (milliseconds) for latency histograms.
@@ -56,35 +57,6 @@ impl Histogram {
         self.sum += v;
         self.count += 1;
         self.max = self.max.max(v);
-    }
-
-    /// Rebuild a histogram from the parts exposed by its accessors
-    /// (snapshot restore). Rejects structurally inconsistent parts —
-    /// mismatched bucket arity, non-increasing bounds, or a bucket total
-    /// that disagrees with `count`.
-    pub fn from_parts(
-        bounds: Vec<u64>,
-        bucket_counts: Vec<u64>,
-        sum: u64,
-        count: u64,
-        max: u64,
-    ) -> Result<Histogram, &'static str> {
-        if bucket_counts.len() != bounds.len() + 1 {
-            return Err("histogram bucket arity mismatch");
-        }
-        if !bounds.windows(2).all(|w| w[0] < w[1]) {
-            return Err("histogram bounds not strictly increasing");
-        }
-        if bucket_counts.iter().sum::<u64>() != count {
-            return Err("histogram bucket total disagrees with count");
-        }
-        Ok(Histogram {
-            bounds,
-            bucket_counts,
-            sum,
-            count,
-            max,
-        })
     }
 
     pub fn count(&self) -> u64 {
@@ -166,12 +138,6 @@ impl MetricsRegistry {
             .observe(v);
     }
 
-    /// Install a fully-formed histogram under `name` (snapshot restore),
-    /// replacing any existing one.
-    pub fn insert_histogram(&mut self, name: &str, h: Histogram) {
-        self.histograms.insert(name.to_string(), h);
-    }
-
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
@@ -239,6 +205,66 @@ fn prom_name(name: &str) -> String {
             }
         })
         .collect()
+}
+
+/// `bounds` (count-prefixed), then one count per bucket including `+Inf`
+/// (its arity follows from the bounds), then sum, count and max. Restore
+/// rejects structurally inconsistent parts: non-increasing bounds, or a
+/// bucket total that disagrees with `count`.
+impl Snap for Histogram {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.bounds);
+        for c in &self.bucket_counts {
+            w.put(c);
+        }
+        w.put(&self.sum);
+        w.put(&self.count);
+        w.put(&self.max);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Histogram, SnapError> {
+        let bounds: Vec<u64> = r.get()?;
+        let bucket_counts = (0..=bounds.len())
+            .map(|_| r.get())
+            .collect::<Result<Vec<u64>, _>>()?;
+        let h = Histogram {
+            bounds,
+            bucket_counts,
+            sum: r.get()?,
+            count: r.get()?,
+            max: r.get()?,
+        };
+        if !h.bounds.windows(2).all(|w| w[0] < w[1]) {
+            return Err(SnapError::Corrupt(
+                "histogram bounds not strictly increasing",
+            ));
+        }
+        let total = h
+            .bucket_counts
+            .iter()
+            .try_fold(0u64, |acc, &c| acc.checked_add(c));
+        if total != Some(h.count) {
+            return Err(SnapError::Corrupt(
+                "histogram bucket total disagrees with count",
+            ));
+        }
+        Ok(h)
+    }
+}
+
+/// Counters, gauges, then histograms, each a name-ordered map.
+impl Snap for MetricsRegistry {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.counters);
+        w.put(&self.gauges);
+        w.put(&self.histograms);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<MetricsRegistry, SnapError> {
+        Ok(MetricsRegistry {
+            counters: r.get()?,
+            gauges: r.get()?,
+            histograms: r.get()?,
+        })
+    }
 }
 
 #[cfg(test)]

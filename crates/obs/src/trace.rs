@@ -2,7 +2,8 @@
 //! the hand-rolled JSONL serializer (obs is dependency-free by design,
 //! so it cannot use `serde_json`).
 
-use std::collections::VecDeque;
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use std::collections::{BTreeMap, VecDeque};
 
 /// A typed field value attached to a trace event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +201,7 @@ pub struct FlightRecorder {
     buf: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    dropped_by_kind: std::collections::BTreeMap<String, u64>,
+    dropped_by_kind: BTreeMap<String, u64>,
 }
 
 impl FlightRecorder {
@@ -209,7 +210,7 @@ impl FlightRecorder {
             buf: VecDeque::with_capacity(capacity.min(1024)),
             capacity: capacity.max(1),
             dropped: 0,
-            dropped_by_kind: std::collections::BTreeMap::new(),
+            dropped_by_kind: BTreeMap::new(),
         }
     }
 
@@ -257,15 +258,93 @@ impl FlightRecorder {
         self.dropped_by_kind.clear();
     }
 
-    /// Overwrite the eviction counters (snapshot restore: drops that
-    /// happened before the snapshot are part of the restored state).
-    pub fn restore_drops(
-        &mut self,
-        dropped: u64,
-        by_kind: impl IntoIterator<Item = (String, u64)>,
-    ) {
-        self.dropped = dropped;
-        self.dropped_by_kind = by_kind.into_iter().collect();
+    /// Append the ring's dynamic state: retained events oldest first,
+    /// then the drop total and the per-name drop counts.
+    pub(crate) fn write_state(&self, w: &mut SnapWriter) {
+        w.put(&self.buf);
+        w.put(&self.dropped);
+        w.put(&self.dropped_by_kind);
+    }
+
+    /// Rebuild a ring of `capacity` from [`FlightRecorder::write_state`]
+    /// output. Capacity is configuration: an image retaining more events
+    /// than it allows is rejected rather than silently re-dropped.
+    pub(crate) fn read_state(
+        capacity: usize,
+        r: &mut SnapReader<'_>,
+    ) -> Result<FlightRecorder, SnapError> {
+        let mut ring = FlightRecorder::new(capacity);
+        ring.buf = r.get()?;
+        if ring.buf.len() > ring.capacity {
+            return Err(SnapError::Corrupt(
+                "snapshot retains more events than the ring capacity",
+            ));
+        }
+        ring.dropped = r.get()?;
+        ring.dropped_by_kind = r.get()?;
+        Ok(ring)
+    }
+}
+
+/// One tag byte (0 `U64`, 1 `I64`, 2 `Str`, 3 `Bool`), then the value.
+impl Snap for Value {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            Value::U64(x) => w.put(&(0u8, *x)),
+            Value::I64(x) => w.put(&(1u8, *x)),
+            Value::Str(s) => {
+                w.put(&2u8);
+                w.put(s);
+            }
+            Value::Bool(b) => w.put(&(3u8, *b)),
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Value, SnapError> {
+        Ok(match r.get::<u8>()? {
+            0 => Value::U64(r.get()?),
+            1 => Value::I64(r.get()?),
+            2 => Value::Str(r.get()?),
+            3 => Value::Bool(r.get()?),
+            _ => return Err(SnapError::Corrupt("trace value tag out of range")),
+        })
+    }
+}
+
+/// Tag 0 for a point event; tag 1 and the start time for a span.
+impl Snap for EventKind {
+    fn put(&self, w: &mut SnapWriter) {
+        match self {
+            EventKind::Event => w.put(&0u8),
+            EventKind::Span { start_ms } => w.put(&(1u8, *start_ms)),
+        }
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<EventKind, SnapError> {
+        Ok(match r.get::<u8>()? {
+            0 => EventKind::Event,
+            1 => EventKind::Span { start_ms: r.get()? },
+            _ => return Err(SnapError::Corrupt("trace kind tag out of range")),
+        })
+    }
+}
+
+impl Snap for TraceEvent {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(self.seq, self.ts_ms, self.key, self.cause, self.depth));
+        w.put(&self.kind);
+        w.put(&self.name);
+        w.put(&self.fields);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<TraceEvent, SnapError> {
+        Ok(TraceEvent {
+            seq: r.get()?,
+            ts_ms: r.get()?,
+            key: r.get()?,
+            cause: r.get()?,
+            depth: r.get()?,
+            kind: r.get()?,
+            name: r.get()?,
+            fields: r.get()?,
+        })
     }
 }
 

@@ -14,7 +14,8 @@
 use crate::handshake::Secrets;
 use bytes::{Buf, BytesMut};
 use ethcrypto::aes::{Aes, AesCtr};
-use ethcrypto::keccak::Keccak;
+use ethcrypto::keccak::{Keccak, MAX_RATE};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Frame decode/verify failures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,45 +41,6 @@ impl std::fmt::Display for FrameError {
 impl std::error::Error for FrameError {}
 
 const MAX_FRAME: usize = 16 * 1024 * 1024;
-
-/// One captured keccak sponge, as produced by `Keccak::to_parts`.
-pub type MacState = (
-    [u64; 25],
-    usize,
-    [u8; ethcrypto::keccak::MAX_RATE],
-    usize,
-    usize,
-);
-
-/// Plain-data image of a [`FrameCodec`] for checkpoint/restore. Contains
-/// live key material — treat a serialized snapshot like a key file.
-#[derive(Clone)]
-// Not Debug-derived: every field is key material or keystream.
-pub struct FrameCodecState {
-    /// AES-256-CTR session key.
-    pub aes_key: [u8; 32],
-    /// MAC derivation key.
-    pub mac_key: [u8; 32],
-    /// Egress CTR position (`AesCtr::to_parts`).
-    pub enc: ([u8; 16], [u8; 16], usize),
-    /// Ingress CTR position.
-    pub dec: ([u8; 16], [u8; 16], usize),
-    /// Egress MAC sponge.
-    pub egress_mac: MacState,
-    /// Ingress MAC sponge.
-    pub ingress_mac: MacState,
-    /// Body size parsed from a verified header, awaiting the body bytes.
-    pub pending_body: Option<usize>,
-}
-
-impl std::fmt::Debug for FrameCodecState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Keys and sponge states are secrets; show only decoder progress.
-        f.debug_struct("FrameCodecState")
-            .field("pending_body", &self.pending_body)
-            .finish_non_exhaustive()
-    }
-}
 
 /// Symmetric frame codec for one established connection.
 pub struct FrameCodec {
@@ -117,34 +79,6 @@ impl FrameCodec {
             pending_body: None,
             aes_key: secrets.aes,
             mac_key: secrets.mac,
-        }
-    }
-
-    /// Capture the full codec state (keys, CTR positions, MAC sponges,
-    /// decoder progress) for checkpoint/restore.
-    pub fn to_state(&self) -> FrameCodecState {
-        FrameCodecState {
-            aes_key: self.aes_key,
-            mac_key: self.mac_key,
-            enc: self.enc.to_parts(),
-            dec: self.dec.to_parts(),
-            egress_mac: self.egress_mac.to_parts(),
-            ingress_mac: self.ingress_mac.to_parts(),
-            pending_body: self.pending_body,
-        }
-    }
-
-    /// Rebuild a codec mid-stream from [`FrameCodec::to_state`] output.
-    pub fn from_state(s: FrameCodecState) -> FrameCodec {
-        FrameCodec {
-            enc: AesCtr::from_parts(&s.aes_key, s.enc),
-            dec: AesCtr::from_parts(&s.aes_key, s.dec),
-            mac_cipher: Aes::new(&s.mac_key),
-            egress_mac: Keccak::from_parts(s.egress_mac),
-            ingress_mac: Keccak::from_parts(s.ingress_mac),
-            pending_body: s.pending_body,
-            aes_key: s.aes_key,
-            mac_key: s.mac_key,
         }
     }
 
@@ -256,6 +190,66 @@ impl FrameCodec {
         obs::counter_add("rlpx.frames_read", 1);
         Ok(Some(body))
     }
+}
+
+/// Snapshot image: session keys, both CTR positions, both MAC sponges,
+/// decoder progress. Contains live key material — treat a serialized
+/// snapshot like a key file. Positions outside their buffers are
+/// `Corrupt` on restore.
+impl Snap for FrameCodec {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&self.aes_key);
+        w.put(&self.mac_key);
+        w.put(&self.enc.to_parts());
+        w.put(&self.dec.to_parts());
+        put_mac(w, &self.egress_mac);
+        put_mac(w, &self.ingress_mac);
+        w.put(&self.pending_body);
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<FrameCodec, SnapError> {
+        let aes_key: [u8; 32] = r.get()?;
+        let mac_key: [u8; 32] = r.get()?;
+        let mut ctr = || -> Result<AesCtr, SnapError> {
+            let parts: ([u8; 16], [u8; 16], usize) = r.get()?;
+            if parts.2 > 16 {
+                return Err(SnapError::Corrupt("AES-CTR position out of range"));
+            }
+            Ok(AesCtr::from_parts(&aes_key, parts))
+        };
+        let (enc, dec) = (ctr()?, ctr()?);
+        Ok(FrameCodec {
+            enc,
+            dec,
+            mac_cipher: Aes::new(&mac_key),
+            egress_mac: get_mac(r)?,
+            ingress_mac: get_mac(r)?,
+            pending_body: r.get()?,
+            aes_key,
+            mac_key,
+        })
+    }
+}
+
+/// A keccak sponge as its `to_parts`: 25 lanes, rate, buffer, buffer
+/// fill, output length.
+fn put_mac(w: &mut SnapWriter, mac: &Keccak) {
+    let (lanes, rate, buf, buf_len, output_len) = mac.to_parts();
+    for lane in lanes {
+        w.put(&lane);
+    }
+    w.put(&(rate, buf, buf_len, output_len));
+}
+
+fn get_mac(r: &mut SnapReader<'_>) -> Result<Keccak, SnapError> {
+    let mut lanes = [0u64; 25];
+    for lane in &mut lanes {
+        *lane = r.get()?;
+    }
+    let (rate, buf, buf_len, output_len): (usize, [u8; MAX_RATE], usize, usize) = r.get()?;
+    if rate > MAX_RATE || buf_len >= rate {
+        return Err(SnapError::Corrupt("keccak sponge position out of range"));
+    }
+    Ok(Keccak::from_parts((lanes, rate, buf, buf_len, output_len)))
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@ use enode::NodeId;
 use ethcrypto::ecies;
 use ethcrypto::keccak::{keccak256, Keccak};
 use ethcrypto::secp256k1::{recover, PublicKey, RecoverableSignature, SecretKey};
+use obs::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use rlp::{Rlp, RlpStream};
 
 /// Which side of the handshake we are.
@@ -331,81 +332,66 @@ impl Handshake {
         NodeId::from_secret_key(&self.static_key)
     }
 
-    /// Capture the exchange progress for checkpoint/restore. The static
-    /// identity key is deliberately absent — the owner persists it with the
-    /// node identity and supplies it again to [`Handshake::from_state`].
-    pub fn to_state(&self) -> HandshakeState {
-        HandshakeState {
-            initiator: self.role == Role::Initiator,
-            ephemeral_key: self.ephemeral_key.to_bytes(),
-            nonce: self.nonce,
-            remote_static: self.remote_static.as_ref().map(NodeId::from_public_key),
-            remote_ephemeral: self.remote_ephemeral.as_ref().map(NodeId::from_public_key),
-            remote_nonce: self.remote_nonce,
-            auth_bytes: self.auth_bytes.clone(),
-            ack_bytes: self.ack_bytes.clone(),
-        }
+    /// Append the exchange progress to a snapshot section. The static
+    /// identity key is deliberately absent — the owner persists it with
+    /// the node identity and supplies it again to
+    /// [`Handshake::read_state`]. Peer keys travel as node ids.
+    pub fn write_state(&self, w: &mut SnapWriter) {
+        // An `initiator` flag, not the `Role` tag a `PeerConn` stores:
+        // both layouts are part of the v1 image.
+        w.put(&(self.role == Role::Initiator));
+        w.put(&self.ephemeral_key.to_bytes());
+        w.put(&self.nonce);
+        w.put(&self.remote_static.as_ref().map(NodeId::from_public_key));
+        w.put(&self.remote_ephemeral.as_ref().map(NodeId::from_public_key));
+        w.put(&self.remote_nonce);
+        w.put(&self.auth_bytes);
+        w.put(&self.ack_bytes);
     }
 
-    /// Rebuild a handshake mid-exchange from [`Handshake::to_state`] output.
-    ///
-    /// # Panics
-    /// Panics if the state carries a key or node id that does not decode —
-    /// snapshots are produced by `to_state`, so that is data corruption,
-    /// not remote input.
-    #[allow(clippy::expect_used)]
-    pub fn from_state(static_key: SecretKey, s: HandshakeState) -> Handshake {
-        // detlint: allow(R5) -- snapshot ids come from `to_state`, so a non-decoding one is local corruption, not remote input
-        let pk = |id: &NodeId| id.to_public_key().expect("corrupt handshake snapshot id");
-        Handshake {
-            role: if s.initiator {
+    /// Rebuild a handshake mid-exchange from [`Handshake::write_state`]
+    /// output. A key or node id that does not decode is `Corrupt`.
+    pub fn read_state(
+        static_key: SecretKey,
+        r: &mut SnapReader<'_>,
+    ) -> Result<Handshake, SnapError> {
+        let pk = |id: Option<NodeId>| match id {
+            None => Ok(None),
+            Some(id) => id
+                .to_public_key()
+                .map(Some)
+                .ok_or(SnapError::Corrupt("handshake peer id does not decode")),
+        };
+        Ok(Handshake {
+            role: if r.get()? {
                 Role::Initiator
             } else {
                 Role::Recipient
             },
             static_key,
-            ephemeral_key: SecretKey::from_bytes(&s.ephemeral_key)
-                // detlint: allow(R5) -- key bytes come from `to_state`, so a non-decoding key is local corruption, not remote input
-                .expect("corrupt handshake snapshot key"),
-            nonce: s.nonce,
-            remote_static: s.remote_static.as_ref().map(pk),
-            remote_ephemeral: s.remote_ephemeral.as_ref().map(pk),
-            remote_nonce: s.remote_nonce,
-            auth_bytes: s.auth_bytes,
-            ack_bytes: s.ack_bytes,
-        }
+            ephemeral_key: SecretKey::from_bytes(&r.get()?)
+                .map_err(|_| SnapError::Corrupt("handshake ephemeral key does not decode"))?,
+            nonce: r.get()?,
+            remote_static: pk(r.get()?)?,
+            remote_ephemeral: pk(r.get()?)?,
+            remote_nonce: r.get()?,
+            auth_bytes: r.get()?,
+            ack_bytes: r.get()?,
+        })
     }
 }
 
-/// Plain-data image of an in-progress [`Handshake`] (minus the static key).
-#[derive(Clone)]
-pub struct HandshakeState {
-    /// True for [`Role::Initiator`].
-    pub initiator: bool,
-    /// Our ephemeral secret key bytes.
-    pub ephemeral_key: [u8; 32],
-    /// Our handshake nonce.
-    pub nonce: [u8; 32],
-    /// Peer static identity, if learned.
-    pub remote_static: Option<NodeId>,
-    /// Peer ephemeral identity, if learned.
-    pub remote_ephemeral: Option<NodeId>,
-    /// Peer nonce, if learned.
-    pub remote_nonce: Option<[u8; 32]>,
-    /// Raw auth message (prefix included), if exchanged.
-    pub auth_bytes: Option<Vec<u8>>,
-    /// Raw ack message (prefix included), if exchanged.
-    pub ack_bytes: Option<Vec<u8>>,
-}
-
-impl std::fmt::Debug for HandshakeState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // Keys and nonces stay out of logs, mirroring `Handshake`'s Debug.
-        f.debug_struct("HandshakeState")
-            .field("initiator", &self.initiator)
-            .field("auth_seen", &self.auth_bytes.is_some())
-            .field("ack_seen", &self.ack_bytes.is_some())
-            .finish_non_exhaustive()
+/// Snapshot image of a connection's role: 0 initiator, 1 recipient.
+impl Snap for Role {
+    fn put(&self, w: &mut SnapWriter) {
+        w.put(&(*self as u8));
+    }
+    fn get(r: &mut SnapReader<'_>) -> Result<Role, SnapError> {
+        match r.get::<u8>()? {
+            0 => Ok(Role::Initiator),
+            1 => Ok(Role::Recipient),
+            _ => Err(SnapError::Corrupt("role tag out of range")),
+        }
     }
 }
 

@@ -88,6 +88,10 @@ step "shard equivalence suite" cargo test -q --test shard_determinism
 # run that never stopped, at shard counts {1,4} — and the dial-slot
 # underflow counter must stay silent throughout.
 step "resume determinism suite" cargo test -q --test resume_determinism
+# Snapshot decoding is total: seeded truncations, bit flips and length
+# inflation over the real PSNP/ETHN/NFND and OBSS images at T must
+# restore or fail with a SnapError, never panic.
+step "snapshot corruption property" cargo test -q --test snapshot_corruption
 step "shard dispatch property (netsim)" cargo test -q -p netsim --test proptest_shards
 # Wire conformance is likewise tier-1 (the workspace run covers the golden
 # vectors and the capped differential drivers); name it so a golden-vector

@@ -14,16 +14,18 @@
 //! hosts deliberately do not implement `save_state`, so a snapshot of a
 //! world containing them fails `Unsupported` by design.
 
-use ethereum_p2p::prelude::*;
-use std::net::Ipv4Addr;
+mod resume_world;
 
-/// Snapshot point. The crawl is well underway: discovery has fanned
-/// out, dynamic dials and static re-dials are in flight, and probes are
-/// mid-handshake — exactly the state a checkpoint must capture.
-const T_MS: u64 = 2 * 60_000;
-/// Uninterrupted-run horizon (and the resumed run's target).
-const FULL_MS: u64 = 4 * 60_000;
+use ethereum_p2p::prelude::*;
+use resume_world::{build_crawl_world, images_at_t, FULL_MS};
+
 const SHARD_COUNTS: [usize; 2] = [1, 4];
+
+/// keccak256 of the `PSNP` and `OBSS` images at T with one shard. The
+/// snapshot formats are versioned: any change to these bytes must bump
+/// the owning section's version byte and re-pin the digests here.
+const PSNP_KECCAK_AT_T: &str = "f8f021635a60e3459820b69fad516d6306b65f3f2818c84b74e70f9ff9b74876";
+const OBSS_KECCAK_AT_T: &str = "040f514e6b752e501b5ecdb13cbde6d0bcdf8213390aeabfd2ef396b8568b650";
 
 /// Everything a crawl externalizes, captured as bytes, plus the
 /// accounting the bugfix sweep asserts on.
@@ -33,47 +35,6 @@ struct Artifacts {
     prometheus: String,
     events: u64,
     dialing_underflows: u64,
-}
-
-fn world_config(shards: usize) -> WorldConfig {
-    WorldConfig {
-        seed: 4242,
-        n_nodes: 24,
-        duration_ms: FULL_MS,
-        always_on_fraction: 0.5,
-        spammer_ips: 1,
-        udp_loss: 0.05,
-        shards,
-        ..WorldConfig::default()
-    }
-}
-
-/// Build the crawl world: the honest/spammer population from
-/// `World::build` plus the NodeFinder. Identical config ⇒ identical
-/// static structure, so the same builder serves both the uninterrupted
-/// run and the restore shell.
-fn build_crawl_world(shards: usize) -> (World, netsim::HostId) {
-    let mut world = World::build(world_config(shards));
-    let crawler_key = SecretKey::from_bytes(&[0xCB; 32]).unwrap();
-    let crawler = NodeFinder::new(
-        crawler_key,
-        CrawlerConfig {
-            static_redial_interval_ms: 60_000,
-            stale_after_ms: FULL_MS,
-            probe_timeout_ms: 30_000,
-            penalty_threshold: 3,
-            penalty_box_ms: 2 * 60_000,
-            ..CrawlerConfig::default()
-        },
-        world.bootstrap.clone(),
-    );
-    let host = world.sim.add_host(
-        HostAddr::new(Ipv4Addr::new(192, 17, 100, 1), 30303),
-        HostMeta::default_cloud(),
-        Box::new(crawler),
-    );
-    world.sim.schedule_start(host, 0);
-    (world, host)
 }
 
 /// Pull the artifacts out of a finished world and uninstall its
@@ -121,15 +82,7 @@ fn uninterrupted_run(shards: usize) -> Artifacts {
 /// and continue to 2T.
 fn split_run(shards: usize) -> Artifacts {
     // First half: 0 → T.
-    let recorder = obs::Recorder::new();
-    recorder.install();
-    let (mut world, _host) = build_crawl_world(shards);
-    world.sim.run_until(T_MS);
-    let events_at_t = world.sim.events_processed();
-    let sim_snap = world.sim.snapshot().expect("engine snapshot at T");
-    let obs_snap = recorder.snapshot_state();
-    obs::uninstall();
-    drop(world);
+    let images = images_at_t(shards);
 
     // Second half: fresh shell, restore, T → 2T. The recorder image
     // overwrites whatever the shell build emitted, exactly as those
@@ -138,17 +91,17 @@ fn split_run(shards: usize) -> Artifacts {
     recorder.install();
     let (mut world, host) = build_crawl_world(shards);
     recorder
-        .restore_state(&obs_snap)
+        .restore_state(&images.obs)
         .expect("recorder restore at T");
-    world.sim.restore(&sim_snap).expect("engine restore at T");
+    world.sim.restore(&images.sim).expect("engine restore at T");
     assert_eq!(
         world.sim.events_processed(),
-        events_at_t,
+        images.events,
         "restore must resume the event count, not reset it"
     );
     world.sim.run_until(FULL_MS);
     assert!(
-        world.sim.events_processed() > events_at_t,
+        world.sim.events_processed() > images.events,
         "resumed run did no work after T"
     );
     extract(world, host, &recorder)
@@ -226,4 +179,20 @@ fn resumed_run_reports_pipeline_progress() {
             "missing {stage} stage counter in resumed export"
         );
     }
+}
+
+/// The snapshot images at T are pinned byte for byte: a refactor of the
+/// codecs must not move a single byte, and a deliberate format change
+/// must show up here (and bump a version byte).
+#[test]
+fn snapshot_images_at_t_are_pinned() {
+    let images = images_at_t(1);
+    let hex = |b: &[u8]| {
+        ethereum_p2p::ethcrypto::keccak256(b)
+            .iter()
+            .map(|x| format!("{x:02x}"))
+            .collect::<String>()
+    };
+    assert_eq!(hex(&images.sim), PSNP_KECCAK_AT_T, "PSNP image at T moved");
+    assert_eq!(hex(&images.obs), OBSS_KECCAK_AT_T, "OBSS image at T moved");
 }
