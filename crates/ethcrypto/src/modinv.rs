@@ -6,8 +6,12 @@
 //! inverse, paid twice per ECDSA signature. The divstep formulation
 //! processes 62 bits per outer iteration: the inner loop runs on single
 //! 64-bit words and only its accumulated 2×2 transition matrix is applied
-//! to the full-width values, cutting an inverse to well under a
-//! microsecond.
+//! to the full-width values. A field inverse (`Fe::inv`) measured
+//! 1.8–2.3 µs, the fastest of five loops of 20,000 calls each (release
+//! build, shared 2-vCPU Xeon at 2.0 GHz under KVM), or about 55 field
+//! multiplications at the ~0.035 µs of `Fe::mul` on the same box.
+//! `cargo bench -p bench --bench crypto` reports both
+//! (`secp256k1_field/fe_inv_x64`, `fe_mul_x64`).
 //!
 //! Values are held in a signed limb form: five limbs of 62 bits each,
 //! little-endian, where limbs 0–3 are masked non-negative and limb 4

@@ -232,6 +232,7 @@ pub fn recover(digest: &[u8; 32], rsig: &RecoverableSignature) -> Result<PublicK
 mod tests {
     use super::*;
     use crate::keccak256;
+    use crate::secp256k1::tests::on_fresh_thread;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -269,7 +270,10 @@ mod tests {
             rng.fill(&mut msg[..]);
             let digest = keccak256(&msg);
             let rsig = sign(&sk, &digest);
-            let recovered = recover(&digest, &rsig).unwrap();
+            // Recover on a thread that never saw the signature, so the
+            // double-scalar multiplication runs instead of the memo.
+            let (recovered, var_base) = on_fresh_thread(move || recover(&digest, &rsig).unwrap());
+            assert_eq!(var_base, 1);
             assert_eq!(recovered, sk.public_key());
         }
     }
@@ -294,7 +298,9 @@ mod tests {
         let bytes = rsig.to_bytes();
         let back = RecoverableSignature::from_bytes(&bytes).unwrap();
         assert_eq!(back, rsig);
-        assert_eq!(recover(&digest, &back).unwrap(), sk.public_key());
+        let (recovered, var_base) = on_fresh_thread(move || recover(&digest, &back).unwrap());
+        assert_eq!(var_base, 1);
+        assert_eq!(recovered, sk.public_key());
     }
 
     #[test]

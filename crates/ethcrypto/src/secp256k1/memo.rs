@@ -26,7 +26,7 @@
 
 use super::point::Affine;
 use crate::u256::U256;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
 
 /// A bounded map with FIFO eviction (insertion order, not LRU, so lookup
@@ -109,10 +109,61 @@ thread_local! {
     // detlint: allow(R8) -- pure-function memo cache: hit or miss changes speed, never results
     static SIG: RefCell<FifoCache<SigKey, Affine>> =
         RefCell::new(FifoCache::new(SIG_CACHE_CAP));
+    /// Work done on this thread; see [`WorkCounters`].
+    // detlint: allow(R8) -- deterministic op counts: read by tests and benches, never by results
+    static WORK: Cell<WorkCounters> = const { Cell::new(WorkCounters::ZERO) };
+}
+
+/// Deterministic counts of the public-key work done on the calling thread
+/// since it started. Each count is a pure function of the calls made, so
+/// two runs of the same workload agree exactly: a rise in cold
+/// multiplications per operation is a structural regression, not noise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WorkCounters {
+    /// Variable-base multiplications `k·P` computed (ECDH memo misses,
+    /// and one per `recover` miss or `verify`).
+    pub var_base_muls: u64,
+    /// Generator multiplications `k·G` computed (pubkey memo misses,
+    /// signing nonces, and one per `recover` miss or `verify`).
+    pub generator_muls: u64,
+    /// Public keys served from the pubkey memo.
+    pub pubkey_hits: u64,
+    /// Shared secrets served from the ECDH memo.
+    pub ecdh_hits: u64,
+    /// Signers served from the signature memo.
+    pub sig_hits: u64,
+}
+
+impl WorkCounters {
+    const ZERO: WorkCounters = WorkCounters {
+        var_base_muls: 0,
+        generator_muls: 0,
+        pubkey_hits: 0,
+        ecdh_hits: 0,
+        sig_hits: 0,
+    };
+}
+
+/// The calling thread's [`WorkCounters`].
+pub fn work_counters() -> WorkCounters {
+    WORK.with(Cell::get)
+}
+
+/// Apply `f` to the calling thread's counters.
+pub(crate) fn count(f: impl FnOnce(&mut WorkCounters)) {
+    WORK.with(|w| {
+        let mut c = w.get();
+        f(&mut c);
+        w.set(c);
+    });
 }
 
 pub(crate) fn pubkey_get(scalar: &[u8; 32]) -> Option<Affine> {
-    PUBKEY.with(|c| c.borrow().get(scalar))
+    let hit = PUBKEY.with(|c| c.borrow().get(scalar));
+    if hit.is_some() {
+        count(|c| c.pubkey_hits += 1);
+    }
+    hit
 }
 
 pub(crate) fn pubkey_put(scalar: [u8; 32], point: Affine) {
@@ -140,7 +191,11 @@ pub(crate) fn ecdh_key(a: [u8; 64], b: [u8; 64]) -> EcdhPair {
 }
 
 pub(crate) fn ecdh_get(key: &EcdhPair) -> Option<[u8; 32]> {
-    ECDH.with(|c| c.borrow().get(key))
+    let hit = ECDH.with(|c| c.borrow().get(key));
+    if hit.is_some() {
+        count(|c| c.ecdh_hits += 1);
+    }
+    hit
 }
 
 pub(crate) fn ecdh_put(key: EcdhPair, shared: [u8; 32]) {
@@ -148,7 +203,11 @@ pub(crate) fn ecdh_put(key: EcdhPair, shared: [u8; 32]) {
 }
 
 pub(crate) fn sig_get(digest: &[u8; 32], sig: &[u8; 65]) -> Option<Affine> {
-    SIG.with(|c| c.borrow().get(&(*digest, *sig)))
+    let hit = SIG.with(|c| c.borrow().get(&(*digest, *sig)));
+    if hit.is_some() {
+        count(|c| c.sig_hits += 1);
+    }
+    hit
 }
 
 pub(crate) fn sig_put(digest: [u8; 32], sig: [u8; 65], signer: Affine) {

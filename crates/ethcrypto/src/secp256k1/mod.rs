@@ -16,6 +16,7 @@ mod scalar;
 
 pub use ecdsa::{recover, RecoverableSignature, Signature};
 pub use field::Fe;
+pub use memo::{work_counters, WorkCounters};
 pub use point::{double_scalar_mul, scalar_mul, scalar_mul_generator, Affine};
 
 use crate::u256::U256;
@@ -164,13 +165,29 @@ mod tests {
         }
     }
 
+    /// Run `f` on a freshly spawned thread, whose memos are empty; returns
+    /// its result and the variable-base multiplications it computed.
+    pub(crate) fn on_fresh_thread<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> (T, u64) {
+        std::thread::spawn(|| {
+            let out = f();
+            (out, work_counters().var_base_muls)
+        })
+        .join()
+        .unwrap()
+    }
+
     #[test]
     fn ecdh_is_symmetric() {
         let mut rng = StdRng::seed_from_u64(7);
         let a = SecretKey::random(&mut rng);
         let b = SecretKey::random(&mut rng);
         let s1 = a.ecdh(&b.public_key()).unwrap();
-        let s2 = b.ecdh(&a.public_key()).unwrap();
+        // The second side runs cold: on this thread it would be a memo hit.
+        let a_pub = a.public_key();
+        let (s2, var_base) = on_fresh_thread(move || b.ecdh(&a_pub).unwrap());
+        assert_eq!(var_base, 1);
         assert_eq!(s1, s2);
         let c = SecretKey::random(&mut rng);
         assert_ne!(s1, c.ecdh(&b.public_key()).unwrap());

@@ -5,6 +5,7 @@
 //! inversions; a single inversion converts back to affine at the end.
 
 use super::field::Fe;
+use super::scalar::mul_mod_n;
 use crate::u256::U256;
 
 /// The curve order n (number of points / order of the generator).
@@ -314,28 +315,128 @@ fn wnaf5(k: &U256) -> ([i8; 257], usize) {
     (digits, i)
 }
 
-/// `k * P` in Jacobian form: width-5 wNAF over a table of odd multiples
-/// (P, 3P, …, 15P), ~43 additions instead of ~128 for double-and-add.
+/// λ, a cube root of unity mod n. On secp256k1, `λ·P = φ(P) = (β·x, y)`
+/// for every point P, so one field multiplication buys a scalar
+/// multiplication by λ.
+const LAMBDA: U256 = U256([
+    0xDF02967C1B23BD72,
+    0x122E22EA20816678,
+    0xA5261C028812645A,
+    0x5363AD4CC05C30E0,
+]);
+
+/// β, the cube root of unity mod p matching [`LAMBDA`].
+const BETA: Fe = Fe(U256([
+    0xC1396C28719501EE,
+    0x9CF0497512F58995,
+    0x6E64479EAC3434E9,
+    0x7AE96A2B657C0710,
+]));
+
+/// `g1 = round(2^384 · b2 / n)` and `g2 = round(2^384 · (−b1) / n)`
+/// for the short lattice basis `{(a1, b1), (a2, b2)}` of
+/// `{(x, y) : x + y·λ ≡ 0 (mod n)}`.
+const G1: U256 = U256([
+    0xE893209A45DBB031,
+    0x3DAA8A1471E8CA7F,
+    0xE86C90E49284EB15,
+    0x3086D221A7D46BCD,
+]);
+const G2: U256 = U256([
+    0x1571B4AE8AC47F71,
+    0x221208AC9DF506C6,
+    0x6F547FA90ABFE4C4,
+    0xE4437ED6010E8828,
+]);
+
+/// `−b1` (128 bits) and `−b2 mod n`.
+const MINUS_B1: U256 = U256([0x6F547FA90ABFE4C3, 0xE4437ED6010E8828, 0, 0]);
+const MINUS_B2: U256 = U256([
+    0xD765CDA83DB1562C,
+    0x8A280AC50774346D,
+    0xFFFFFFFFFFFFFFFE,
+    0xFFFFFFFFFFFFFFFF,
+]);
+
+/// `round(k·g / 2^384)`: the product's top 128 bits, rounded on bit 383.
+fn mul_shift_384(k: &U256, g: &U256) -> U256 {
+    let w = k.widening_mul(g);
+    U256([w[6], w[7], 0, 0])
+        .overflowing_add(&U256::from_u64(w[5] >> 63))
+        .0
+}
+
+/// The GLV split of `k < n`: `(k1, k2)` with `k1 + k2·λ ≡ k (mod n)`,
+/// each within 2^128 of 0 or of n (see [`signed_half`]).
+fn split_lambda(k: &U256) -> (U256, U256) {
+    let c1 = mul_shift_384(k, &G1);
+    let c2 = mul_shift_384(k, &G2);
+    let k2 = mul_mod_n(&c1, &MINUS_B1).add_mod(&mul_mod_n(&c2, &MINUS_B2), &N);
+    let k1 = k.sub_mod(&mul_mod_n(&k2, &LAMBDA), &N);
+    (k1, k2)
+}
+
+/// A split half as `(magnitude, negated)`: a residue above n/2 stands
+/// for the negative number `r − n`.
+fn signed_half(r: &U256) -> (U256, bool) {
+    if r.cmp_u(&N.shr1()) == std::cmp::Ordering::Greater {
+        (N.wrapping_sub(r), true)
+    } else {
+        (*r, false)
+    }
+}
+
+/// Add `digit · T` to `acc`, where `table[i] = (2i + 1)·T`.
+fn add_wnaf_digit(acc: Jacobian, digit: i8, table: &[Affine]) -> Jacobian {
+    match digit {
+        0 => acc,
+        d if d > 0 => acc.add_affine(&table[d as usize / 2]),
+        d => acc.add_affine(&table[(-d) as usize / 2].neg()),
+    }
+}
+
+/// `k * P` in Jacobian form by the GLV method: split `k ≡ k1 + k2·λ` into
+/// halves of ~128 bits, then run one interleaved width-5 wNAF loop over
+/// `k1·P + k2·φ(P)`. Half the doublings of a plain 256-bit wNAF, and every
+/// addition is a mixed one from an affine table of odd multiples
+/// (P, 3P, …, 15P and their images under φ).
 pub(crate) fn scalar_mul_jac(k: &U256, p: &Affine) -> Jacobian {
+    super::memo::count(|c| c.var_base_muls += 1);
+    // Any k below 2^256 < 2n is at most one subtraction away from [0, n).
+    let k = if k.ge(&N) { k.wrapping_sub(&N) } else { *k };
     if k.is_zero() || p.is_infinity() {
         return Jacobian::infinity();
     }
     let p_jac = Jacobian::from_affine(p);
     let two_p = p_jac.double();
-    let mut tbl = [p_jac; 8];
+    let mut odd = [p_jac; 8];
     for i in 1..8 {
-        tbl[i] = tbl[i - 1].add(&two_p);
+        odd[i] = odd[i - 1].add(&two_p);
     }
-    let (digits, len) = wnaf5(k);
-    let mut acc = Jacobian::infinity();
-    for i in (0..len).rev() {
-        acc = acc.double();
-        let d = digits[i];
-        if d > 0 {
-            acc = acc.add(&tbl[d as usize / 2]);
-        } else if d < 0 {
-            acc = acc.add(&tbl[(-d) as usize / 2].neg());
+    let (r1, r2) = split_lambda(&k);
+    let (k1, neg1) = signed_half(&r1);
+    let (k2, neg2) = signed_half(&r2);
+    // A negated half multiplies the negated point: (−k)·P = k·(−P).
+    let mut tbl_p = [Affine::Infinity; 8];
+    let mut tbl_phi = [Affine::Infinity; 8];
+    for (i, a) in batch_to_affine(&odd).into_iter().enumerate() {
+        if let Affine::Point { x, y } = a {
+            let y1 = if neg1 { y.neg() } else { y };
+            let y2 = if neg2 { y.neg() } else { y };
+            tbl_p[i] = Affine::Point { x, y: y1 };
+            tbl_phi[i] = Affine::Point {
+                x: x.mul(&BETA),
+                y: y2,
+            };
         }
+    }
+    let (d1, len1) = wnaf5(&k1);
+    let (d2, len2) = wnaf5(&k2);
+    let mut acc = Jacobian::infinity();
+    for i in (0..len1.max(len2)).rev() {
+        acc = acc.double();
+        acc = add_wnaf_digit(acc, d1[i], &tbl_p);
+        acc = add_wnaf_digit(acc, d2[i], &tbl_phi);
     }
     acc
 }
@@ -405,6 +506,7 @@ fn comb_table() -> &'static GenCombTable {
 
 /// `k * G` in Jacobian form via the comb table (≤ 32 mixed additions).
 pub(crate) fn scalar_mul_generator_jac(k: &U256) -> Jacobian {
+    super::memo::count(|c| c.generator_muls += 1);
     if k.is_zero() {
         return Jacobian::infinity();
     }
@@ -581,6 +683,90 @@ mod tests {
                 scalar_mul_reference(&k, &Affine::generator()),
                 "k={k:?}"
             );
+        }
+    }
+
+    /// `n − x`.
+    fn neg_n(x: &U256) -> U256 {
+        N.wrapping_sub(x)
+    }
+
+    /// The scalars every GLV check runs on: the edges of the split and of
+    /// the wNAF recoding.
+    fn edge_scalars() -> Vec<U256> {
+        vec![
+            U256::ZERO,
+            U256::ONE,
+            U256::from_u64(2),
+            neg_n(&U256::ONE),
+            LAMBDA,
+            neg_n(&LAMBDA),
+            U256([u64::MAX, u64::MAX, 0, 0]),
+            U256([0, 0, 1, 0]),
+            U256([0, 0, 0, 1 << 63]),
+        ]
+    }
+
+    /// `count` seeded pseudo-random scalars below n.
+    fn seeded_scalars(count: usize) -> Vec<U256> {
+        let mut s: u64 = 0x243F6A8885A308D3;
+        let mut next = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        (0..count)
+            .map(|_| {
+                let k = U256([next(), next(), next(), next()]);
+                if k.ge(&N) {
+                    k.wrapping_sub(&N)
+                } else {
+                    k
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn glv_constants_are_cube_roots_of_unity() {
+        let lambda3 = mul_mod_n(&mul_mod_n(&LAMBDA, &LAMBDA), &LAMBDA);
+        assert_eq!(lambda3, U256::ONE);
+        assert_ne!(LAMBDA, U256::ONE);
+        assert_eq!(BETA.square().mul(&BETA), Fe::ONE);
+        assert_ne!(BETA, Fe::ONE);
+        // λ·G = φ(G) = (β·Gx, Gy), by the slow double-and-add.
+        assert_eq!(
+            scalar_mul_reference(&LAMBDA, &Affine::generator()),
+            Affine::Point {
+                x: Fe(GX).mul(&BETA),
+                y: Fe(GY),
+            }
+        );
+    }
+
+    #[test]
+    fn glv_split_recombines_into_short_halves() {
+        let bound = U256([0, 0, 2, 0]); // 2^129
+        for k in edge_scalars().into_iter().chain(seeded_scalars(2_000)) {
+            let (r1, r2) = split_lambda(&k);
+            assert!(r1.lt(&N) && r2.lt(&N), "k={k:?}");
+            assert_eq!(r1.add_mod(&mul_mod_n(&r2, &LAMBDA), &N), k, "k={k:?}");
+            for r in [r1, r2] {
+                let (mag, negated) = signed_half(&r);
+                assert!(mag.lt(&bound), "k={k:?} half={r:?}");
+                assert_eq!(if negated { neg_n(&mag) } else { mag }, r);
+            }
+        }
+    }
+
+    #[test]
+    fn glv_scalar_mul_matches_reference() {
+        let p = scalar_mul_reference(&U256::from_u64(424_242), &Affine::generator());
+        for k in edge_scalars().into_iter().chain(seeded_scalars(24)) {
+            assert_eq!(scalar_mul(&k, &p), scalar_mul_reference(&k, &p), "k={k:?}");
+            let g = Affine::generator();
+            assert_eq!(scalar_mul(&k, &g), scalar_mul_reference(&k, &g), "k={k:?}");
         }
     }
 

@@ -1,9 +1,20 @@
 //! Property-based tests across the crypto primitives.
 
 use ethcrypto::aes::AesCtr;
-use ethcrypto::secp256k1::{recover, PublicKey, SecretKey};
+use ethcrypto::secp256k1::{recover, work_counters, PublicKey, SecretKey};
 use ethcrypto::{ecies, keccak256, sha256, Keccak, U256};
 use proptest::prelude::*;
+
+/// Run `f` on a freshly spawned thread, whose memos are empty; returns its
+/// result and the variable-base multiplications it computed.
+fn on_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> (T, u64) {
+    std::thread::spawn(|| {
+        let out = f();
+        (out, work_counters().var_base_muls)
+    })
+    .join()
+    .unwrap()
+}
 
 fn arb_secret() -> impl Strategy<Value = SecretKey> {
     proptest::array::uniform32(any::<u8>())
@@ -17,7 +28,9 @@ proptest! {
     fn sign_recover_roundtrip(sk in arb_secret(), msg in proptest::collection::vec(any::<u8>(), 0..256)) {
         let digest = keccak256(&msg);
         let sig = sk.sign_recoverable(&digest);
-        let pk = recover(&digest, &sig).unwrap();
+        // Signing memoized the signer on this thread; recover cold.
+        let (pk, var_base) = on_fresh_thread(move || recover(&digest, &sig).unwrap());
+        prop_assert_eq!(var_base, 1);
         prop_assert_eq!(pk, sk.public_key());
         prop_assert!(pk.verify(&digest, &sig.sig));
     }
@@ -30,7 +43,12 @@ proptest! {
 
     #[test]
     fn ecdh_commutes(a in arb_secret(), b in arb_secret()) {
-        prop_assert_eq!(a.ecdh(&b.public_key()).unwrap(), b.ecdh(&a.public_key()).unwrap());
+        let a_pub = a.public_key();
+        // Each side computes on its own thread, so neither reads the
+        // other's result from the memo.
+        let (shared, var_base) = on_fresh_thread(move || b.ecdh(&a_pub).unwrap());
+        prop_assert_eq!(var_base, 1);
+        prop_assert_eq!(a.ecdh(&b.public_key()).unwrap(), shared);
     }
 
     #[test]

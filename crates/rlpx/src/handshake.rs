@@ -580,4 +580,63 @@ mod tests {
             .unwrap();
         assert_ne!(a1, a2);
     }
+
+    /// The public-key work of one auth/ack handshake between two static
+    /// keys whose public keys are already memoized, run on a fresh thread
+    /// so no shared secret or signer is memoized yet. Both handshakes use
+    /// fresh ephemeral keys; the second (a redial) finds the static-static
+    /// secret in the ECDH memo. The counts depend only on the calls made,
+    /// never on how fast each multiplication runs.
+    #[test]
+    fn handshake_work_counts_are_pinned() {
+        use ethcrypto::secp256k1::{work_counters, WorkCounters};
+        fn one_handshake(rng: &mut StdRng, ik: SecretKey, rk: SecretKey) -> WorkCounters {
+            let before = work_counters();
+            let mut init = Handshake::new(Role::Initiator, ik, rng);
+            let mut resp = Handshake::new(Role::Recipient, rk, rng);
+            let auth = init.write_auth(rng, &NodeId::from_secret_key(&rk)).unwrap();
+            let ack = resp.read_auth(rng, &auth).unwrap();
+            init.read_ack(&ack).unwrap();
+            init.secrets().unwrap();
+            resp.secrets().unwrap();
+            let after = work_counters();
+            WorkCounters {
+                var_base_muls: after.var_base_muls - before.var_base_muls,
+                generator_muls: after.generator_muls - before.generator_muls,
+                pubkey_hits: after.pubkey_hits - before.pubkey_hits,
+                ecdh_hits: after.ecdh_hits - before.ecdh_hits,
+                sig_hits: after.sig_hits - before.sig_hits,
+            }
+        }
+        let (first, redial) = std::thread::spawn(|| {
+            let mut rng = StdRng::seed_from_u64(42);
+            let (ik, rk) = pair();
+            ik.public_key();
+            rk.public_key();
+            let first = one_handshake(&mut rng, ik, rk);
+            (first, one_handshake(&mut rng, ik, rk))
+        })
+        .join()
+        .unwrap();
+        assert_eq!(
+            first,
+            WorkCounters {
+                var_base_muls: 4,
+                generator_muls: 5,
+                pubkey_hits: 10,
+                ecdh_hits: 4,
+                sig_hits: 1,
+            }
+        );
+        assert_eq!(
+            redial,
+            WorkCounters {
+                var_base_muls: 3,
+                generator_muls: 5,
+                pubkey_hits: 10,
+                ecdh_hits: 5,
+                sig_hits: 1,
+            }
+        );
+    }
 }

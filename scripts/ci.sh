@@ -22,7 +22,8 @@
 #   7. compare   -- fails if crawl throughput regressed >20% vs the
 #                   committed BENCH_crawl.json baseline, if the committed
 #                   scale artifact's 5k/1k curve dips below 0.8 or its
-#                   50k/5k curve below 0.9, if its shard check diverged,
+#                   50k/5k curve below 0.85 (scripts/bench_compare.sh
+#                   holds the floors), if its shard check diverged,
 #                   if a tier's RSS blows its per-host budget, if the
 #                   crawl's alloc_bytes_per_event proxy grew past 1.5x,
 #                   or if the 5k-tier snapshot/restore cycle costs more
